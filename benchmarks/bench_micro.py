@@ -1,14 +1,15 @@
 """Micro-benchmarks of the library's hot paths.
 
 These time the primitives the figure experiments spend their cycles in:
-delay-oracle queries, tree restructures, MLC group selection and the
-packet-level episode pricing.
+delay-oracle queries, membership sampling, tree restructures, MLC group
+selection and the packet-level episode pricing.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import TopologyConfig
+from repro.overlay.membership import MembershipService
 from repro.overlay.node import OverlayNode
 from repro.overlay.tree import MulticastTree
 from repro.recovery.episode import RepairSource, starvation_episode
@@ -55,6 +56,23 @@ def test_topology_generation(benchmark):
     )
     topo = benchmark(lambda: generate_transit_stub(cfg))
     assert topo.num_nodes == cfg.total_nodes
+
+
+@pytest.mark.parametrize(
+    "population,k",
+    [(400, 100), (400, 2), (200, 100)],
+    ids=["rejection-k100", "referee-k2", "full-filter-k100"],
+)
+def test_membership_sample(benchmark, population, k):
+    """Join-candidate draws (k = 100) and ROST referee picks (k = 2)."""
+    service = MembershipService(np.random.default_rng(3))
+    for member_id in range(population):
+        node = OverlayNode(member_id, member_id, 2.0, 2, 0.0)
+        node.attached = member_id % 10 != 0  # ~10% detached, rejoining
+        service.register(node)
+    joiner = OverlayNode(population, population, 2.0, 2, 0.0)
+    picked = benchmark(lambda: service.sample(k, exclude=[joiner]))
+    assert len(picked) == k
 
 
 def _build_tree(num_members=500):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -15,6 +16,10 @@ from ..overlay.node import OverlayNode
 from ..overlay.tree import MulticastTree
 from ..sim.engine import Simulator
 from ..topology.routing import DelayOracle
+
+#: Join-selection keys for :meth:`TreeProtocol.select_min_by`.
+BY_LAYER = attrgetter("layer")
+BY_JOIN_TIME = attrgetter("join_time")
 
 
 @dataclass
@@ -158,24 +163,34 @@ class TreeProtocol(abc.ABC):
         self, node: OverlayNode, candidates: Iterable[OverlayNode]
     ) -> Optional[OverlayNode]:
         """The paper's join rule: among candidates with spare capacity pick
-        the smallest layer, breaking ties by network delay.
+        the smallest layer, breaking ties by network delay."""
+        return self.select_min_by(node, candidates, BY_LAYER)
 
-        Two-phase: find the minimum layer first, then compare delays only
+    def select_min_by(
+        self,
+        node: OverlayNode,
+        candidates: Iterable[OverlayNode],
+        key: Callable[[OverlayNode], float],
+    ) -> Optional[OverlayNode]:
+        """The attached candidate with spare capacity and the smallest
+        ``key``, ties broken toward the smallest delay from ``node``.
+
+        Two-phase: find the minimum key first, then compare delays only
         among the tied candidates (batched through the oracle).  Delay
-        lookups are pure, so skipping them for non-minimal layers changes
+        lookups are pure, so skipping them for non-minimal keys changes
         nothing; first-occurrence tie-breaking matches the original
         strict-less scan.
         """
         tied: List[OverlayNode] = []
-        best_layer = None
+        best = None
         for candidate in candidates:
             if candidate.spare_degree <= 0 or not candidate.attached:
                 continue
-            layer = candidate.layer
-            if best_layer is None or layer < best_layer:
-                best_layer = layer
+            value = key(candidate)
+            if best is None or value < best:
+                best = value
                 tied = [candidate]
-            elif layer == best_layer:
+            elif value == best:
                 tied.append(candidate)
         if not tied:
             return None

@@ -10,12 +10,8 @@ service delay.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..overlay.node import OverlayNode
-from .base import TreeProtocol
+from .base import BY_JOIN_TIME, TreeProtocol
 
 
 class LongestFirstProtocol(TreeProtocol):
@@ -26,34 +22,11 @@ class LongestFirstProtocol(TreeProtocol):
 
     def place(self, node: OverlayNode, rejoin: bool) -> bool:
         candidates = self.sample_candidates(node, mature_view=rejoin)
-        parent = self._select_oldest(node, candidates)
+        # Oldest = smallest join time; the root has join time 0 and in
+        # the paper always has spare slots early on.  Ties break toward
+        # network proximity, as in the join rule.
+        parent = self.select_min_by(node, candidates, BY_JOIN_TIME)
         if parent is None:
             return False
         self.attach(node, parent)
         return True
-
-    def _select_oldest(self, node, candidates) -> Optional[OverlayNode]:
-        # Oldest = smallest join time; the root has join time 0 and in
-        # the paper always has spare slots early on.  Ties break toward
-        # network proximity, as in the join rule.  Two-phase like
-        # select_min_depth: delays are computed (batched) only for the
-        # candidates tied on join time.
-        tied = []
-        best_time = None
-        for candidate in candidates:
-            if candidate.spare_degree <= 0 or not candidate.attached:
-                continue
-            t = candidate.join_time
-            if best_time is None or t < best_time:
-                best_time = t
-                tied = [candidate]
-            elif t == best_time:
-                tied.append(candidate)
-        if not tied:
-            return None
-        if len(tied) == 1:
-            return tied[0]
-        delays = self.ctx.oracle.delays_from(
-            node.underlay_node, [c.underlay_node for c in tied]
-        )
-        return tied[int(np.argmin(delays))]

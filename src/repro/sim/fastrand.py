@@ -1,13 +1,17 @@
 """Draw-exact batched replication of ``Generator.integers(0, n)``.
 
-The membership service's rejection-sampling loop is the hottest code in a
-churn run: every join/recovery query makes ~100 scalar
-``Generator.integers(0, population)`` calls, each paying the full
-cython-call overhead for one 32-bit Lemire draw.  This module replays the
-*identical* draw sequence from batched raw 64-bit outputs of the
-underlying PCG64 bit generator and then rewinds the generator to exactly
-the state the scalar loop would have left, so interleaved ``choice()`` /
-``random()`` calls on the same stream stay byte-identical.
+The simulator no longer uses this module: membership sampling draws its
+batches through numpy's public ``integers(size=...)`` API (see
+:mod:`repro.overlay.membership`).  It stays only because the benchmark
+harness (``perfbench/iteration.py``) imports :func:`replication_ok` for
+its ``fastrand_replication_ok`` meta field; it can be deleted together
+with that field.
+
+The decoder replays the *identical* draw sequence of scalar
+``Generator.integers(0, bound)`` calls from batched raw 64-bit outputs
+of the underlying PCG64 bit generator and then rewinds the generator to
+exactly the state the scalar loop would have left, so interleaved
+``choice()`` / ``random()`` calls on the same stream stay byte-identical.
 
 How numpy draws a bounded integer for ``0 < n <= 2**32`` (the
 ``buffered_bounded_lemire_uint32`` path):
