@@ -19,6 +19,7 @@ from .registry import REGISTRY, ExperimentResult, get_experiment, list_experimen
 # Importing the figure modules registers them.
 from . import (  # noqa: F401  (import-for-side-effect)
     ablations,
+    campaigns,
     fig04_disruptions,
     fig05_cdf,
     fig06_member_disruptions,
@@ -30,9 +31,7 @@ from . import (  # noqa: F401  (import-for-side-effect)
     fig12_group_size,
     fig13_buffer,
     fig14_rost_cer,
-    faults_campaign,
     messages,
-    multitree_campaign,
     multitree_ext,
     rescue_ext,
 )

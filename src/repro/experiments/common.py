@@ -12,10 +12,10 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig, paper_config
-from ..obs.capture import ObsUnit, emit_unit, obs_fingerprint
+from ..obs.capture import ObsUnit, emit_unit, job_capture, obs_fingerprint
 from ..protocols import PROTOCOLS
 from ..protocols.rost import RostProtocol
 from ..sim.rng import RngRegistry
@@ -42,13 +42,21 @@ DEFAULT_SINGLE_SIZE = 8000
 _workload_cache: Dict[tuple, object] = {}
 _churn_cache: Dict[tuple, ChurnRunResult] = {}
 _recovery_cache: Dict[tuple, RecoveryRunResult] = {}
-# Observability units captured alongside cached runs, same keys as the
-# run caches.  A cache hit must *re-emit* the stored unit: with --jobs 1
+#: Campaign scenario runs: one JSON-ready record per grid cell.
+_scenario_cache: Dict[tuple, dict] = {}
+_RUN_CACHES = {
+    "churn": _churn_cache,
+    "recovery": _recovery_cache,
+    "scenario": _scenario_cache,
+}
+# Observability units captured alongside cached runs, under the run
+# caches' keys (each key starts with its run kind, so one dict serves
+# all three).  A cache hit must *re-emit* the stored units: with --jobs 1
 # a run shared between figures executes once, while with --jobs 4 each
 # figure's unit is simulated once and replayed per consumer — re-emitting
-# the unit keeps the merged trace/metrics byte-identical across the two.
-_churn_obs: Dict[tuple, ObsUnit] = {}
-_recovery_obs: Dict[tuple, ObsUnit] = {}
+# keeps the merged trace/metrics byte-identical across the two.  A
+# K-tree scenario captures one unit per stripe.
+_run_obs: Dict[tuple, List[ObsUnit]] = {}
 
 #: Run-cache hit/miss counters since the last :func:`clear_caches`.
 #: ``benchmarks/report.py`` snapshots these around each figure so the
@@ -59,6 +67,8 @@ _cache_stats: Dict[str, int] = {
     "churn_misses": 0,
     "recovery_hits": 0,
     "recovery_misses": 0,
+    "scenario_hits": 0,
+    "scenario_misses": 0,
 }
 
 
@@ -78,8 +88,8 @@ def clear_caches() -> None:
     _workload_cache.clear()
     _churn_cache.clear()
     _recovery_cache.clear()
-    _churn_obs.clear()
-    _recovery_obs.clear()
+    _scenario_cache.clear()
+    _run_obs.clear()
     for name in _cache_stats:
         _cache_stats[name] = 0
 
@@ -207,9 +217,7 @@ def churn_run(
     cached = _churn_cache.get(key)
     if cached is not None:
         _cache_stats["churn_hits"] += 1
-        unit = _churn_obs.get(key)
-        if unit is not None:
-            emit_unit(unit)
+        replay_obs(key)
         return cached
     _cache_stats["churn_misses"] += 1
     config = settings.config(population)
@@ -243,9 +251,8 @@ def churn_run(
     result = sim.run()
     _churn_cache[key] = result
     if attachment is not None:
-        unit = attachment.finalize(result)
-        _churn_obs[key] = unit
-        emit_unit(unit)
+        _run_obs[key] = [attachment.finalize(result)]
+        replay_obs(key)
     return result
 
 
@@ -290,9 +297,7 @@ def recovery_run(
     cached = _recovery_cache.get(key)
     if cached is not None:
         _cache_stats["recovery_hits"] += 1
-        unit = _recovery_obs.get(key)
-        if unit is not None:
-            emit_unit(unit)
+        replay_obs(key)
         return cached
     _cache_stats["recovery_misses"] += 1
     config = settings.config(population)
@@ -324,10 +329,42 @@ def recovery_run(
     result = sim.run()
     _recovery_cache[key] = result
     if attachment is not None:
-        unit = attachment.finalize(result)
-        _recovery_obs[key] = unit
-        emit_unit(unit)
+        _run_obs[key] = [attachment.finalize(result)]
+        replay_obs(key)
     return result
+
+
+def scenario_run(unit) -> dict:
+    """One (cached) campaign grid cell, a
+    :class:`~repro.experiments.units.ScenarioUnit`; returns its record.
+
+    The run's ObsUnits (one per stripe for a K-tree run) are captured
+    privately, cached with the record, and re-emitted into the ambient
+    capture on every call, hit or miss.
+    """
+    key = unit.cache_key()
+    record = _scenario_cache.get(key)
+    if record is not None:
+        _cache_stats["scenario_hits"] += 1
+    else:
+        _cache_stats["scenario_misses"] += 1
+        from ..faults.campaign import FAMILIES
+
+        spec = FAMILIES[unit.family].resolve(unit.spec_json)
+        with job_capture() as capture:
+            record = spec.run_cell(
+                unit.scenario,
+                unit.protocol,
+                unit.seed,
+                unit.scale,
+                unit.check_invariants,
+                trees=unit.trees,
+            )
+        _scenario_cache[key] = record
+        if capture is not None:
+            _run_obs[key] = capture.units
+    replay_obs(key)
+    return record
 
 
 #: Lifetime of the Fig. 6/9 probe member.  A module constant because the
@@ -360,32 +397,23 @@ def default_probe(settings: SweepSettings, population: int) -> Session:
 # serial run.
 
 
-def seed_churn_result(
-    key: tuple, result: ChurnRunResult, obs_unit: Optional[ObsUnit] = None
-) -> None:
-    """Install a deserialized churn run under its cache key."""
-    _churn_cache[key] = result
-    if obs_unit is not None:
-        _churn_obs[key] = obs_unit
+def seed_run(cache: str, key: tuple, result, obs_units: List[ObsUnit]) -> None:
+    """Install a deserialized run (and its captured ObsUnits) under its
+    key in the ``churn`` / ``recovery`` / ``scenario`` run cache."""
+    _RUN_CACHES[cache][key] = result
+    if obs_units:
+        _run_obs[key] = obs_units
 
 
-def seed_recovery_result(
-    key: tuple, result: RecoveryRunResult, obs_unit: Optional[ObsUnit] = None
-) -> None:
-    """Install a deserialized recovery run under its cache key."""
-    _recovery_cache[key] = result
-    if obs_unit is not None:
-        _recovery_obs[key] = obs_unit
+def captured_obs(key: tuple) -> List[ObsUnit]:
+    """The ObsUnits captured for a cached run (worker side)."""
+    return _run_obs.get(key, [])
 
 
-def captured_churn_obs(key: tuple) -> Optional[ObsUnit]:
-    """The ObsUnit captured for a cached churn run (worker side)."""
-    return _churn_obs.get(key)
-
-
-def captured_recovery_obs(key: tuple) -> Optional[ObsUnit]:
-    """The ObsUnit captured for a cached recovery run (worker side)."""
-    return _recovery_obs.get(key)
+def replay_obs(key: tuple) -> None:
+    """Re-emit a cached run's ObsUnits into the ambient capture."""
+    for unit in _run_obs.get(key, ()):
+        emit_unit(unit)
 
 
 def scaled_sizes(scale: float, sizes: Sequence[int] = PAPER_SIZES) -> Tuple[int, ...]:

@@ -11,7 +11,7 @@ the pool schedules **simulation units**, not figures:
 2. *Execute* — each distinct unit runs **exactly once** across the
    workers; its exact result payload (bit-identical floats, captured obs
    artifacts) ships back as canonical JSON.  Jobs without declarers
-   (campaign drivers, direct-sim extensions) run as whole jobs alongside.
+   (the direct-sim extensions) run as whole jobs alongside.
 3. *Demux* — the parent seeds the payloads into the in-process run
    caches and replays each figure locally; extraction is a cache-hit
    walk costing milliseconds, and flows through the same
@@ -24,9 +24,10 @@ traces are **byte-identical to a serial run at any** ``--jobs``.
 
 Robustness model:
 
-* ``jobs=1`` (or a single job) short-circuits to plain in-process
-  execution — no executor, no subprocesses — so ``pdb``, profilers and
-  coverage keep working and there is zero overhead for small runs.
+* ``jobs=1`` (or a single job declaring at most one unit) short-circuits
+  to plain in-process execution — no executor, no subprocesses — so
+  ``pdb``, profilers and coverage keep working and there is zero
+  overhead for small runs.
 * A unit or job whose worker crashes (``BrokenProcessPool``) or exceeds
   the per-job ``timeout_s`` is retried **once, in-process**; the retry
   is deterministic, so a flaky worker cannot change results.  A second
@@ -41,8 +42,9 @@ Robustness model:
   CPU-bound, so extra processes only add contention.  ``--jobs`` remains
   the requested ceiling and has no effect on results.
 * With the durable store active, units are recorded/replayed under
-  ``sim:churn`` / ``sim:recovery`` ledger ids, so ``--resume`` composes
-  at unit granularity (see :func:`~repro.experiments.units.run_unit_task`).
+  ``sim:churn`` / ``sim:recovery`` / ``sim:scenario`` ledger ids, so
+  ``--resume`` composes at unit granularity (see
+  :func:`~repro.experiments.units.run_unit_task`).
 """
 
 from __future__ import annotations
@@ -168,12 +170,29 @@ class ExperimentPool:
         jobs = list(jobs)
         if not jobs:
             return []
-        if self.jobs == 1 or len(jobs) == 1:
+        if self.jobs > 1:
             clock = stage_timer()
-            results = [execute_job(job) for job in jobs]
-            record_stage("pool.serial", clock())
-            return results
-        return self._run_parallel(jobs)
+            units_by_job, unique_units = self._plan_units(jobs)
+            record_stage("pool.plan", clock())
+            # A lone job still fans out when it declares several units
+            # (a campaign grid, a figure's size sweep).
+            if len(jobs) > 1 or len(unique_units) > 1:
+                return self._run_parallel(jobs, units_by_job, unique_units)
+        clock = stage_timer()
+        results = [execute_job(job) for job in jobs]
+        record_stage("pool.serial", clock())
+        return results
+
+    def run_units(self, units: Sequence[units_mod.SimulationUnit]) -> None:
+        """Run ``units`` through :func:`~repro.experiments.units.
+        run_unit_task` (in workers when ``jobs > 1``) and install their
+        payloads into this process's run caches; no figure-level job."""
+        units = list(units)
+        if self.jobs == 1 or len(units) < 2:
+            for unit in units:
+                units_mod.seed_unit(unit, units_mod.run_unit_task(unit))
+            return
+        self._run_parallel([], [], units)
 
     def _retry_in_process(self, job: ExperimentJob) -> ExperimentResult:
         """Retry a crashed or wedged job in the parent process.
@@ -196,8 +215,8 @@ class ExperimentPool:
 
         Returns ``(units_by_job, unique_units)``.  ``units_by_job[i]`` is
         the unit list job ``i`` declared, or ``None`` for legacy jobs
-        (campaign drivers, direct-sim extensions, declarers that do not
-        understand the job's kwargs) which keep the whole-job path.
+        (direct-sim extensions, declarers that do not understand the
+        job's kwargs) which keep the whole-job path.
         ``unique_units`` holds each distinct unit once, in first-appearance
         order — the cross-figure dedup that makes ``all --jobs N`` simulate
         each (protocol, size, seed) run exactly once.
@@ -234,7 +253,12 @@ class ExperimentPool:
                     unique_units.append(unit)
         return units_by_job, unique_units
 
-    def _run_parallel(self, jobs: List[ExperimentJob]) -> List[ExperimentResult]:
+    def _run_parallel(
+        self,
+        jobs: List[ExperimentJob],
+        units_by_job: List[Optional[list]],
+        unique_units: List[units_mod.SimulationUnit],
+    ) -> List[ExperimentResult]:
         cache_dir = os.environ.get(ENV_CACHE_DIR) or None
         temp_cache = None
         if cache_dir is None:
@@ -251,9 +275,6 @@ class ExperimentPool:
             shm_session = shm.new_session_token()
             os.environ[shm.ENV_SHM_SESSION] = shm_session
         try:
-            clock = stage_timer()
-            units_by_job, unique_units = self._plan_units(jobs)
-            record_stage("pool.plan", clock())
             # Never oversubscribe the machine: the sims are CPU-bound, so
             # workers beyond the core count only add contention and
             # duplicated per-process cache state.  ``--jobs`` stays the
@@ -273,17 +294,19 @@ class ExperimentPool:
             try:
                 # Phase 2: execute each deduplicated simulation unit once,
                 # alongside the legacy whole jobs (they share the worker
-                # pool, so unit work and campaign work overlap freely).
+                # pool, so unit work and whole-job work overlap freely).
+                # Whole jobs go first: each is several simulations, and
+                # queued behind the units it would finish last, alone.
                 clock = stage_timer()
-                unit_futures = [
-                    executor.submit(units_mod.run_unit_task, unit)
-                    for unit in unique_units
-                ]
                 job_futures = {
                     i: executor.submit(execute_job, job)
                     for i, job in enumerate(jobs)
                     if units_by_job[i] is None
                 }
+                unit_futures = [
+                    executor.submit(units_mod.run_unit_task, unit)
+                    for unit in unique_units
+                ]
                 record_stage("pool.submit", clock())
                 clock = stage_timer()
                 for unit, future in zip(unique_units, unit_futures):

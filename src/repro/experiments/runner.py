@@ -50,88 +50,70 @@ def _build_parser() -> argparse.ArgumentParser:
     everything = sub.add_parser("all", help="run every experiment")
     _add_run_arguments(everything)
 
-    faults = sub.add_parser(
+    _add_campaign_parser(
+        sub,
         "faults_campaign",
+        "faults",
         help="run a fault-injection campaign (see docs/faults.md)",
+        default_spec="the built-in stub-outage example campaign",
+        checked="every unit under the runtime invariant checker "
+        "(see docs/invariants.md)",
+        grid="(scenario x protocol x seed)",
     )
-    faults.add_argument(
-        "spec_path",
-        nargs="?",
-        default=None,
-        metavar="spec",
-        help="campaign spec file (.json or .toml) or inline JSON object "
-        "(default: the built-in stub-outage example campaign)",
-    )
-    faults.add_argument(
-        "--spec",
-        type=str,
-        default=None,
-        help="alternative to the positional spec argument",
-    )
-    faults.add_argument("--scale", type=float, default=1.0)
-    faults.add_argument("--seed", type=int, default=42)
-    faults.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="run every unit under the runtime invariant checker "
-        "(see docs/invariants.md); violations are reported in the "
-        "summary and make the command exit non-zero",
-    )
-    faults.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the (scenario x protocol x seed) grid; "
-        "reports are byte-identical at any value",
-    )
-    faults.add_argument("--job-timeout", type=float, default=None)
-    faults.add_argument("--out", type=str, default=None)
-    faults.add_argument("--json", type=str, default=None)
-    _add_validate_argument(faults)
-    _add_obs_arguments(faults)
-    _add_store_arguments(faults)
-
-    multitree = sub.add_parser(
+    _add_campaign_parser(
+        sub,
         "multitree_campaign",
+        "multitree",
         help="run a K-tree resilience campaign (see docs/multitree.md)",
+        default_spec="the built-in K-tree resilience grid",
+        checked="every stripe simulation under the non-strict runtime "
+        "invariant checker",
+        grid="(scenario x protocol x K x seed)",
     )
-    multitree.add_argument(
+    return parser
+
+
+def _add_campaign_parser(
+    sub, name: str, family: str, help: str, default_spec: str, checked: str, grid: str
+) -> None:
+    """One campaign subcommand; ``family`` names its spec family."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(family=family)
+    parser.add_argument(
         "spec_path",
         nargs="?",
         default=None,
         metavar="spec",
         help="campaign spec file (.json or .toml) or inline JSON object "
-        "(default: the built-in K-tree resilience grid)",
+        f"(default: {default_spec})",
     )
-    multitree.add_argument(
+    parser.add_argument(
         "--spec",
         type=str,
         default=None,
         help="alternative to the positional spec argument",
     )
-    multitree.add_argument("--scale", type=float, default=1.0)
-    multitree.add_argument("--seed", type=int, default=42)
-    multitree.add_argument(
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument(
         "--check-invariants",
         action="store_true",
-        help="run every stripe simulation under the non-strict runtime "
-        "invariant checker; violations are reported in the summary and "
+        help=f"run {checked}; violations are reported in the summary and "
         "make the command exit non-zero",
     )
-    multitree.add_argument(
+    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the (scenario x protocol x K x seed) "
-        "grid; reports are byte-identical at any value",
+        help=f"worker processes for the {grid} grid; reports are "
+        "byte-identical at any value",
     )
-    multitree.add_argument("--job-timeout", type=float, default=None)
-    multitree.add_argument("--out", type=str, default=None)
-    multitree.add_argument("--json", type=str, default=None)
-    _add_validate_argument(multitree)
-    _add_obs_arguments(multitree)
-    _add_store_arguments(multitree)
-    return parser
+    parser.add_argument("--job-timeout", type=float, default=None)
+    parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--json", type=str, default=None)
+    _add_validate_argument(parser)
+    _add_obs_arguments(parser)
+    _add_store_arguments(parser)
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -289,11 +271,6 @@ class _Emitter:
             _atomic_write(self._path, self._content)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    """One-shot emit kept for backward compatibility (tests, scripts)."""
-    _Emitter(out_path).emit(text)
-
-
 def _iter_results(batch: List[ExperimentJob], jobs: int, timeout_s):
     """Yield results in submission order.
 
@@ -317,8 +294,7 @@ class _ArtifactCollector:
         self.metrics_units: List[dict] = []
         self.profile_units: List[dict] = []
 
-    def collect(self, result) -> None:
-        artifacts = getattr(result, "artifacts", None) or {}
+    def collect(self, artifacts: dict) -> None:
         self.trace_lines.extend(artifacts.get("trace", []))
         self.metrics_units.extend(artifacts.get("metrics", []))
         self.profile_units.extend(artifacts.get("profile", []))
@@ -356,7 +332,7 @@ class _StoreRunRecorder:
 
     Snapshots the ledger's aggregate counters up front so the
     replayed/executed split it reports covers exactly this invocation's
-    units — including units recorded by nested campaign fan-out.  The
+    units — including the simulation units a job schedules.  The
     summary goes to stderr: stdout and ``--out`` must stay byte-identical
     between resumed and uninterrupted runs.
     """
@@ -443,7 +419,7 @@ def _run_ids(ids: List[str], args) -> int:
             replicas = []
             for _ in seeds:
                 result = next(results)
-                collector.collect(result)
+                collector.collect(result.artifacts)
                 replicas.append(result)
             replicated = merge_replicas(experiment_id, seeds, replicas)
             emitter.emit(str(replicated))
@@ -462,7 +438,7 @@ def _run_ids(ids: List[str], args) -> int:
         ]
         results = _iter_results(batch, jobs, args.job_timeout)
         for experiment_id, result in zip(ids, results):
-            collector.collect(result)
+            collector.collect(result.artifacts)
             emitter.emit(result.table)
             json_data[experiment_id] = result.data
             if args.svg:
@@ -583,10 +559,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     saved_env = _set_obs_environment(args)
     saved_store = _set_store_environment(args)
     try:
-        if args.command == "faults_campaign":
-            return _run_faults_campaign(args)
-        if args.command == "multitree_campaign":
-            return _run_multitree_campaign(args)
+        if args.command in ("faults_campaign", "multitree_campaign"):
+            return _run_campaign(args, args.family)
         if args.command == "run":
             get_experiment(args.experiment_id)  # fail fast on unknown ids
             return _run_ids([args.experiment_id], args)
@@ -596,20 +570,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         _restore_environment(saved_env)
 
 
-def _run_faults_campaign(args) -> int:
-    from ..faults.campaign import resolve_campaign, run_campaign
+def _run_campaign(args, family: str) -> int:
+    """Run a campaign subcommand: the spec's grid goes through the pool's
+    unit path, then the report is assembled here from the cached runs."""
+    from ..faults.campaign import FAMILIES
+    from ..obs.capture import job_capture
+    from .campaigns import campaign_units, run_campaign
+    from .pool import ExperimentPool
 
     spec = args.spec_path if args.spec_path is not None else args.spec
-    campaign = resolve_campaign(spec)
+    campaign = FAMILIES[family].resolve(spec)
     recorder = _StoreRunRecorder()
-    report = run_campaign(
-        campaign,
-        scale=args.scale,
-        seed=args.seed,
-        jobs=args.jobs,
-        timeout_s=args.job_timeout,
-        check_invariants=args.check_invariants,
+    ExperimentPool(jobs=args.jobs, timeout_s=args.job_timeout).run_units(
+        campaign_units(campaign, args.scale, args.seed, args.check_invariants)
     )
+    with job_capture() as capture:
+        report = run_campaign(
+            campaign, args.scale, args.seed, args.check_invariants
+        )
     emitter = _Emitter(args.out)
     emitter.emit(report.table)
     violations = report.data.get("invariant_violations")
@@ -620,59 +598,14 @@ def _run_faults_campaign(args) -> int:
             f"checked run(s)"
         )
     collector = _ArtifactCollector()
-    collector.collect(report)
+    collector.collect(capture.artifacts() if capture is not None else {})
     collector.emit_sections(args, emitter, report.data)
     validated = _run_validation(args, emitter, report.data)
     if args.json:
         _atomic_write(args.json, json.dumps(report.data, indent=2, default=str))
     recorder.finish(
-        name=f"faults_campaign {campaign.name}",
-        command="repro.experiments faults_campaign",
-        params={
-            "spec": campaign.to_spec(),
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "check_invariants": args.check_invariants,
-        },
-        report_text=emitter.session_content,
-        json_data=report.data,
-    )
-    return 1 if (violations or not validated) else 0
-
-
-def _run_multitree_campaign(args) -> int:
-    from ..multitree.campaign import resolve_multitree_campaign, run_campaign
-
-    spec = args.spec_path if args.spec_path is not None else args.spec
-    campaign = resolve_multitree_campaign(spec)
-    recorder = _StoreRunRecorder()
-    report = run_campaign(
-        campaign,
-        scale=args.scale,
-        seed=args.seed,
-        jobs=args.jobs,
-        timeout_s=args.job_timeout,
-        check_invariants=args.check_invariants,
-    )
-    emitter = _Emitter(args.out)
-    emitter.emit(report.table)
-    violations = report.data.get("invariant_violations")
-    if args.check_invariants:
-        runs = len(report.data.get("runs", []))
-        emitter.emit(
-            f"invariants: {violations or 0} violation(s) across {runs} "
-            f"checked run(s)"
-        )
-    collector = _ArtifactCollector()
-    collector.collect(report)
-    collector.emit_sections(args, emitter, report.data)
-    validated = _run_validation(args, emitter, report.data)
-    if args.json:
-        _atomic_write(args.json, json.dumps(report.data, indent=2, default=str))
-    recorder.finish(
-        name=f"multitree_campaign {campaign.name}",
-        command="repro.experiments multitree_campaign",
+        name=f"{args.command} {campaign.name}",
+        command=f"repro.experiments {args.command}",
         params={
             "spec": campaign.to_spec(),
             "scale": args.scale,

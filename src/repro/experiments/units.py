@@ -10,22 +10,25 @@ re-simulated the shared runs from scratch.
 
 This module makes the underlying simulations schedulable objects:
 
-* :class:`ChurnUnit` / :class:`RecoveryUnit` identify one simulation by
-  exactly the parameters the run caches key on — so a unit executed in a
-  worker can be installed into the parent's cache under the very key the
-  consuming figures will look up;
-* figure modules declare their units with :func:`declare_units`; the
+* :class:`ChurnUnit` / :class:`RecoveryUnit` / :class:`ScenarioUnit`
+  identify one simulation by exactly the parameters the run caches key
+  on — so a unit executed in a worker can be installed into the
+  parent's cache under the very key the consuming figures will look up;
+  a :class:`ScenarioUnit` is one cell of a fault or K-tree campaign grid
+  (:mod:`repro.faults.campaign`);
+* experiment modules declare their units with :func:`declare_units`; the
   pool plans over ``units_for(...)``, dedups across figures, executes
   each unit once, and replays the figures in-process as cheap demux
   (see :meth:`~repro.experiments.pool.ExperimentPool.run`);
 * payloads cross process boundaries as canonical JSON built from the
   exact serializers on :class:`~repro.simulation.churn.ChurnRunResult` /
-  :class:`~repro.simulation.streaming.RecoveryRunResult`, so floats are
-  bit-identical on both sides and captured :class:`ObsUnit` traces
-  replay byte-for-byte;
+  :class:`~repro.simulation.streaming.RecoveryRunResult` (a scenario's
+  record is JSON already), so floats are bit-identical on both sides and
+  captured :class:`ObsUnit` traces replay byte-for-byte;
 * with the durable store active, executed units are recorded under
-  ``sim:churn`` / ``sim:recovery`` ledger ids and ``--resume`` replays
-  them instead of re-simulating (:func:`run_unit_task`).
+  ``sim:churn`` / ``sim:recovery`` / ``sim:scenario`` ledger ids and
+  ``--resume`` replays them instead of re-simulating
+  (:func:`run_unit_task`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..obs.capture import ObsUnit
+from ..obs.capture import ObsUnit, obs_fingerprint
 from ..recovery.schemes import RecoveryScheme
 from ..simulation.churn import ChurnRunResult
 from ..simulation.streaming import RecoveryRunResult
@@ -46,7 +49,9 @@ from .common import SweepSettings
 
 #: Schema tag embedded in every unit payload (bump on layout changes so
 #: a stale store entry can never be deserialized into the wrong shape).
-PAYLOAD_VERSION = 1
+#: Version 2: ``obs`` is a list of captured units (a K-tree scenario
+#: captures one per stripe).
+PAYLOAD_VERSION = 2
 
 #: Marker carried by probe units instead of a :class:`Session`: the
 #: Fig. 6/9 probe is a deterministic function of (settings, population),
@@ -68,6 +73,8 @@ class ChurnUnit:
     rost_flags: Tuple[Tuple[str, bool], ...] = ()
 
     kind = "churn"
+    scale = property(lambda self: self.settings.scale)
+    seed = property(lambda self: self.settings.seed)
 
     def cache_key(self) -> tuple:
         """The parent/worker run-cache key (environment-dependent: folds
@@ -111,13 +118,13 @@ class ChurnUnit:
             switch_interval_s=self.switch_interval_s,
             rost_flags=dict(self.rost_flags) or None,
         )
-        obs_unit = common.captured_churn_obs(self.cache_key())
-        return _payload(self, result, obs_unit)
+        obs_units = common.captured_obs(self.cache_key())
+        return _payload(self, result.to_payload(), obs_units)
 
-    def seed(self, payload: dict) -> None:
+    def install(self, payload: dict) -> None:
         """Install a deserialized payload into this process's run cache."""
         result = ChurnRunResult.from_payload(payload["result"])
-        common.seed_churn_result(self.cache_key(), result, _obs_from(payload))
+        common.seed_run("churn", self.cache_key(), result, _obs_from(payload))
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,8 @@ class RecoveryUnit:
     replica: int = 0
 
     kind = "recovery"
+    scale = property(lambda self: self.settings.scale)
+    seed = property(lambda self: self.settings.seed)
 
     def cache_key(self) -> tuple:
         return common.recovery_key(
@@ -161,36 +170,71 @@ class RecoveryUnit:
             list(self.schemes),
             replica=self.replica,
         )
-        obs_unit = common.captured_recovery_obs(self.cache_key())
-        return _payload(self, result, obs_unit)
+        obs_units = common.captured_obs(self.cache_key())
+        return _payload(self, result.to_payload(), obs_units)
 
-    def seed(self, payload: dict) -> None:
+    def install(self, payload: dict) -> None:
         result = RecoveryRunResult.from_payload(payload["result"])
-        common.seed_recovery_result(self.cache_key(), result, _obs_from(payload))
+        common.seed_run("recovery", self.cache_key(), result, _obs_from(payload))
 
 
-SimulationUnit = Union[ChurnUnit, RecoveryUnit]
+@dataclass(frozen=True)
+class ScenarioUnit:
+    """One campaign grid cell: (scenario, protocol, K, seed) of a spec.
+
+    ``family`` names the campaign family (``faults`` or ``multitree``,
+    see :data:`repro.faults.campaign.FAMILIES`) and ``spec_json`` is the
+    spec's canonical JSON; ``trees`` is ``None`` for single-tree runs.
+    """
+
+    family: str
+    spec_json: str
+    scenario: str
+    protocol: str
+    trees: Optional[int]
+    seed: int
+    scale: float
+    check_invariants: bool = False
+
+    kind = "scenario"
+
+    def cache_key(self) -> tuple:
+        return ("scenario", *dataclasses.astuple(self), obs_fingerprint())
+
+    def store_doc(self) -> dict:
+        return {
+            "unit": "scenario",
+            "version": PAYLOAD_VERSION,
+            **dataclasses.asdict(self),
+        }
+
+    def run(self) -> dict:
+        """This cell's record, from the run cache when it holds one."""
+        return common.scenario_run(self)
+
+    def execute(self) -> dict:
+        record = self.run()
+        return _payload(self, record, common.captured_obs(self.cache_key()))
+
+    def install(self, payload: dict) -> None:
+        obs_units = _obs_from(payload)
+        common.seed_run("scenario", self.cache_key(), payload["result"], obs_units)
 
 
-def _payload(unit: SimulationUnit, result, obs_unit: Optional[ObsUnit]) -> dict:
+SimulationUnit = Union[ChurnUnit, RecoveryUnit, ScenarioUnit]
+
+
+def _payload(unit: SimulationUnit, result: dict, obs_units: List[ObsUnit]) -> dict:
     return {
         "version": PAYLOAD_VERSION,
         "kind": unit.kind,
-        "result": result.to_payload(),
-        "obs": dataclasses.asdict(obs_unit) if obs_unit is not None else None,
+        "result": result,
+        "obs": [dataclasses.asdict(obs_unit) for obs_unit in obs_units],
     }
 
 
-def _obs_from(payload: dict) -> Optional[ObsUnit]:
-    data = payload.get("obs")
-    if data is None:
-        return None
-    return ObsUnit(
-        meta=data["meta"],
-        trace_lines=data["trace_lines"],
-        metrics=data["metrics"],
-        profile=data["profile"],
-    )
+def _obs_from(payload: dict) -> List[ObsUnit]:
+    return [ObsUnit(**data) for data in payload["obs"]]
 
 
 def sim_unit_store_key(unit: SimulationUnit) -> str:
@@ -201,13 +245,11 @@ def sim_unit_store_key(unit: SimulationUnit) -> str:
     job keys fold it (traced and untraced captures must never
     cross-replay).
     """
-    from ..obs.capture import obs_fingerprint
-
     doc = unit.store_doc()
     return unit_key(
         f"sim:{doc['unit']}",
-        unit.settings.scale,
-        unit.settings.seed,
+        unit.scale,
+        unit.seed,
         sorted(doc.items()),
         obs_fingerprint(),
     )
@@ -241,7 +283,7 @@ def run_unit_task(unit: SimulationUnit) -> str:
 
 def seed_unit(unit: SimulationUnit, payload_json: str) -> None:
     """Install a worker-produced payload into this process's caches."""
-    unit.seed(json.loads(payload_json))
+    unit.install(json.loads(payload_json))
 
 
 # -- figure declarations ----------------------------------------------------------
@@ -256,8 +298,8 @@ def declare_units(experiment_id: str):
     (scale, seed, and any figure-specific overrides) and must return the
     exact simulation units ``run`` will consume — same parameters, same
     cache keys — or the demux phase would re-simulate in the parent.
-    Experiments without a declarer (campaign drivers, the direct-sim
-    extensions) are scheduled as whole jobs, as before.
+    Experiments without a declarer (the direct-sim extensions) are
+    scheduled as whole jobs.
     """
 
     def decorate(fn):

@@ -5,8 +5,9 @@ the correlated-failure axis: typed fault primitives (:mod:`.model`),
 seed-deterministic composable schedules (:mod:`.schedule`), an
 engine-level injector that replays them into an unmodified
 :class:`~repro.simulation.churn.ChurnSimulation` (:mod:`.injector`), and
-a campaign runner fanning (scenario x protocol x seed) grids over worker
-processes into one resilience report (:mod:`.campaign`).
+campaign specs whose (scenario x protocol x [K x] seed) grids the
+sweep-unit scheduler runs into one resilience report (:mod:`.campaign`,
+for single-tree and K-tree runs alike).
 
 See ``docs/faults.md`` for the campaign spec format and semantics.
 """
@@ -25,14 +26,12 @@ from .schedule import FaultSchedule, load_schedule
 from .injector import DegradedOracle, FaultInjector, wire_resilience
 from .campaign import (
     DEFAULT_CAMPAIGN_SPEC,
+    DEFAULT_MULTITREE_SPEC,
     CampaignReport,
     CampaignSpec,
+    MultiTreeCampaignSpec,
     ScenarioSpec,
     build_report,
-    load_campaign,
-    resolve_campaign,
-    run_campaign,
-    run_scenario,
 )
 
 __all__ = [
@@ -50,12 +49,10 @@ __all__ = [
     "DegradedOracle",
     "wire_resilience",
     "CampaignSpec",
+    "MultiTreeCampaignSpec",
     "ScenarioSpec",
     "CampaignReport",
     "DEFAULT_CAMPAIGN_SPEC",
+    "DEFAULT_MULTITREE_SPEC",
     "build_report",
-    "load_campaign",
-    "resolve_campaign",
-    "run_campaign",
-    "run_scenario",
 ]

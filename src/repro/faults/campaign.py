@@ -1,27 +1,27 @@
-"""Fault-injection campaigns: (scenario x protocol x seed) fan-out.
+"""Fault-injection campaigns: (scenario x protocol x [K x] seed) grids.
 
 A campaign spec names a set of *scenarios* (fault lists), the protocols
-to subject to them, and the seeds to replicate over.  The runner fans the
-cross product out through :mod:`repro.experiments.pool` worker processes
-and merges the per-run resilience metrics into one report:
+to subject to them, and the seeds to replicate over.  Two families share
+this module:
 
-* MTTR (mean time to repair) split by cause — injected vs churn;
-* per-member disruption counts and delivered-data ratio;
-* CER repair success rate under correlated loss (e.g. a stub-domain
-  outage) vs the independent-loss baseline scenario, for the plain,
-  single-source and domain-aware recovery schemes.
+* **faults** (:class:`CampaignSpec`): single-tree recovery runs under a
+  :class:`~repro.faults.injector.FaultInjector`.  The report gives MTTR
+  split by cause, the delivered-data ratio, and CER repair success under
+  correlated loss (e.g. a stub-domain outage) vs the independent-loss
+  baseline, for the plain, single-source and domain-aware schemes.
+* **multitree** (:class:`MultiTreeCampaignSpec`): K-tree runs swept over
+  the stripe counts K.  The report gives blackout rate, stripe-outage
+  rate and delivered quality per (scenario, protocol, K) cell, with
+  time-binned series.  The ``multitree_resilience`` validate gate
+  freezes its claim: under correlated crashes, blackouts fall with K.
 
-Results are merged in submission order and every random draw is keyed by
-the run seed, so the report is byte-identical for a given seed at any
-``--jobs`` value.
-
-Campaigns are also *checkpointable*: each (scenario, protocol, seed)
-unit travels through the pool chokepoint, so with ``--store DIR`` every
-completed unit commits durably to the run-store ledger
-(:mod:`repro.store`) and a campaign killed mid-run — even ``kill -9`` —
-can be restarted with ``--resume`` to replay the finished units and
-execute only the missing ones, yielding the same report bytes as an
-uninterrupted run.  See ``docs/store.md``.
+Spec round-trip and resolution, config shaping, the invariants block,
+the grid and the report envelope are shared; a family supplies its
+extra spec fields and checks, one scenario run, the per-cell metrics and
+the table columns.  This module never fans work out: each grid cell is a
+:class:`~repro.experiments.units.ScenarioUnit` on the sweep-unit
+scheduler, and every random draw is keyed by the run seed, so a report
+is byte-identical at any ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -29,22 +29,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import paper_config
+from ..config import SimulationConfig, paper_config
 from ..errors import FaultError
-from ..obs.capture import emit_unit, obs_active
-from ..metrics.collectors import ResilienceMetrics
 from ..metrics.report import render_table
 from ..recovery.schemes import cer_scheme, single_source_scheme
-from ..simulation.streaming import RecoverySimulation
-from .injector import FaultInjector
 from .model import Fault, fault_from_spec
 from .schedule import FaultSchedule, _load_spec_file
 
-#: Version of the JSON report layout (asserted by CI's smoke job).
+#: Version of the JSON report layout (asserted by CI's smoke jobs).
 REPORT_SCHEMA_VERSION = 1
+
+#: Cap on embedded violation reports per run record (keeps a pathological
+#: run's JSON bounded; the total count is always exact).
+MAX_VIOLATION_REPORTS = 25
 
 #: The built-in example campaign: correlated stub-domain loss and plain
 #: node crashes against an undisturbed baseline.  Checked-in mirror:
@@ -70,6 +70,39 @@ DEFAULT_CAMPAIGN_SPEC: dict = {
         },
         {
             "name": "stub-outage",
+            "faults": [
+                {"kind": "stub-domain-outage", "domains": 2, "at_frac": 0.55}
+            ],
+        },
+    ],
+}
+
+#: The built-in K-tree campaign: K in {1, 2, 4, 8} ROST stripe trees
+#: under no faults, correlated node crashes, and a stub-domain outage.
+#: The small root fan-out keeps stripe trees deep (the per-stripe root
+#: cap is K-invariant: int((root_bw/K) / (rate/K)) == int(root_bw/rate)),
+#: so upstream failures actually orphan subtrees at smoke scales.
+DEFAULT_MULTITREE_SPEC: dict = {
+    "name": "ktree-resilience",
+    "description": (
+        "Blackout, stripe-outage and delivered-quality vs stripe count K "
+        "under correlated faults"
+    ),
+    "population": 500,
+    "protocols": ["rost"],
+    "tree_counts": [1, 2, 4, 8],
+    "root_bandwidth": 4.0,
+    "scenarios": [
+        {"name": "baseline", "faults": []},
+        {
+            "name": "crash",
+            "faults": [
+                {"kind": "node-crash", "count": 8, "at_frac": 0.45},
+                {"kind": "node-crash", "count": 8, "at_frac": 0.7},
+            ],
+        },
+        {
+            "name": "outage",
             "faults": [
                 {"kind": "stub-domain-outage", "domains": 2, "at_frac": 0.55}
             ],
@@ -108,9 +141,30 @@ class ScenarioSpec:
         )
 
 
+@dataclass
+class CampaignReport:
+    """The merged outcome of one campaign."""
+
+    table: str
+    data: dict
+
+
+def _nanmean(values: Sequence[float]) -> float:
+    clean = [v for v in values if isinstance(v, (int, float)) and v == v]
+    return sum(clean) / len(clean) if clean else math.nan
+
+
 @dataclass(frozen=True)
-class CampaignSpec:
-    """A full campaign: scenarios x protocols x seeds plus run shaping."""
+class _Campaign:
+    """Spec fields, checks and machinery shared by both families.
+
+    A family subclass overrides field defaults, adds its own fields and
+    checks (``_check``) and supplies the hooks: ``tree_axis`` (the
+    stripe counts swept; ``(None,)`` for single-tree runs),
+    ``_simulate`` (one cell's run and record), ``summarize`` (one cell's
+    seed-averaged entry), ``report_axes`` (the grid axes the report
+    lists, in output order), ``table_columns`` / ``table_row``.
+    """
 
     name: str
     description: str = ""
@@ -126,10 +180,15 @@ class CampaignSpec:
     #: small smoke campaigns set a low value so trees have depth (and
     #: recovery episodes) even with a dozen members.
     root_bandwidth: Optional[float] = None
-    #: Also evaluate the domain-aware CER variant (distinct stub domains
-    #: preferred in MLC selection).
-    domain_aware: bool = True
     scenarios: Tuple[ScenarioSpec, ...] = ()
+
+    #: The family name a :class:`~repro.experiments.units.ScenarioUnit`
+    #: carries, the built-in spec, the report title, and how many
+    #: consecutive seeds from ``--seed`` a spec without ``seeds`` runs.
+    family: ClassVar[str]
+    default_spec: ClassVar[dict]
+    title: ClassVar[str]
+    default_seed_count: ClassVar[int]
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -147,12 +206,18 @@ class CampaignSpec:
         names = [s.name for s in self.scenarios]
         if len(set(names)) != len(names):
             raise FaultError(f"duplicate scenario names: {names}")
+        if self.group_size < 0:
+            raise FaultError(f"group_size must be >= 0, got {self.group_size}")
         for seed in self.seeds:
             if seed < 0:
                 raise FaultError(f"seeds must be >= 0, got {seed}")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, tuple):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+        self._check()
+
+    def _check(self) -> None:
+        """Family-specific spec checks."""
 
     def scenario(self, name: str) -> ScenarioSpec:
         for scenario in self.scenarios:
@@ -161,18 +226,6 @@ class CampaignSpec:
         raise FaultError(
             f"unknown scenario {name!r}; known: {[s.name for s in self.scenarios]}"
         )
-
-    def scheme_list(self):
-        """The recovery schemes every run of this campaign evaluates."""
-        schemes = [
-            cer_scheme(self.group_size, self.buffer_s),
-            single_source_scheme(self.group_size, self.buffer_s),
-        ]
-        if self.domain_aware:
-            schemes.append(
-                cer_scheme(self.group_size, self.buffer_s, domain_aware=True)
-            )
-        return schemes
 
     # -- spec round-trip ---------------------------------------------------------
 
@@ -189,11 +242,11 @@ class CampaignSpec:
         return spec
 
     def canonical_json(self) -> str:
-        """A canonical string form (hashable, picklable job parameter)."""
+        """A canonical string form (hashable, picklable unit parameter)."""
         return json.dumps(self.to_spec(), sort_keys=True)
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "CampaignSpec":
+    def from_spec(cls, spec: dict):
         if not isinstance(spec, dict):
             raise FaultError(
                 f"campaign spec must be a mapping, got {type(spec).__name__}"
@@ -208,302 +261,432 @@ class CampaignSpec:
         kwargs["scenarios"] = tuple(
             ScenarioSpec.from_spec(s) for s in kwargs.get("scenarios", [])
         )
-        for name in ("protocols", "seeds"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
+    @classmethod
+    def resolve(cls, spec=None):
+        """Coerce any accepted spec form into this family's spec.
 
-def load_campaign(path: str) -> CampaignSpec:
-    """Load a campaign spec from a ``.json`` or ``.toml`` file."""
-    return CampaignSpec.from_spec(_load_spec_file(path))
+        ``None`` -> the built-in default; a dict -> parsed spec; a string
+        -> inline JSON (when it looks like an object) or a spec file path.
+        """
+        if spec is None:
+            return cls.from_spec(cls.default_spec)
+        if isinstance(spec, cls):
+            return spec
+        if isinstance(spec, dict):
+            return cls.from_spec(spec)
+        if isinstance(spec, str):
+            if spec.lstrip().startswith("{"):
+                return cls.from_spec(json.loads(spec))
+            return cls.from_spec(_load_spec_file(spec))
+        raise FaultError(f"cannot resolve campaign spec from {type(spec).__name__}")
 
+    # -- the grid ----------------------------------------------------------------
 
-def resolve_campaign(spec) -> CampaignSpec:
-    """Coerce any accepted spec form into a :class:`CampaignSpec`.
+    def grid_seeds(self, seed: int) -> Tuple[int, ...]:
+        return self.seeds or tuple(seed + i for i in range(self.default_seed_count))
 
-    ``None`` -> the built-in default; a dict -> parsed spec; a string ->
-    inline JSON (when it looks like an object) or a spec file path.
-    """
-    if spec is None:
-        return CampaignSpec.from_spec(DEFAULT_CAMPAIGN_SPEC)
-    if isinstance(spec, CampaignSpec):
-        return spec
-    if isinstance(spec, dict):
-        return CampaignSpec.from_spec(spec)
-    if isinstance(spec, str):
-        if spec.lstrip().startswith("{"):
-            return CampaignSpec.from_spec(json.loads(spec))
-        return load_campaign(spec)
-    raise FaultError(f"cannot resolve campaign spec from {type(spec).__name__}")
+    def grid(self, seed: int) -> Iterator[tuple]:
+        """Every (scenario, protocol, K or None, seed) cell, in report order."""
+        for scenario in self.scenarios:
+            for protocol in self.protocols:
+                for trees in self.tree_axis():
+                    for run_seed in self.grid_seeds(seed):
+                        yield scenario.name, protocol, trees, run_seed
 
+    # -- one cell ----------------------------------------------------------------
 
-# -- one (scenario, protocol, seed) unit ------------------------------------------
-
-
-#: Cap on embedded violation reports per run record (keeps a pathological
-#: run's JSON bounded; the total count is always exact).
-MAX_VIOLATION_REPORTS = 25
-
-
-def run_scenario(
-    spec: CampaignSpec,
-    scenario_name: str,
-    protocol_name: str,
-    seed: int,
-    scale: float = 1.0,
-    check_invariants: bool = False,
-) -> dict:
-    """Run one scenario under one protocol and seed; returns the JSON-ready
-    per-run resilience record (the campaign report's ``runs`` entries).
-
-    With ``check_invariants`` the run carries a non-strict
-    :class:`~repro.invariants.InvariantChecker`; its findings land in the
-    record's ``invariants`` block instead of aborting the campaign.
-    """
-    from ..experiments.common import protocol_factory, shared_topology
-
-    scenario = spec.scenario(scenario_name)
-    config = paper_config(population=spec.population, seed=seed, scale=scale)
-    config = dataclasses.replace(
-        config,
-        warmup_lifetimes=spec.warmup_lifetimes,
-        measure_lifetimes=spec.measure_lifetimes,
-    )
-    if spec.root_bandwidth is not None:
+    def config(self, seed: int, scale: float) -> SimulationConfig:
+        """The simulation config every run of this campaign shares."""
         config = dataclasses.replace(
-            config,
-            workload=dataclasses.replace(
-                config.workload, root_bandwidth=spec.root_bandwidth
-            ),
+            paper_config(population=self.population, seed=seed, scale=scale),
+            warmup_lifetimes=self.warmup_lifetimes,
+            measure_lifetimes=self.measure_lifetimes,
         )
-    topology, oracle = shared_topology(config)
-    checker = None
-    if check_invariants:
-        from ..invariants import InvariantChecker
+        if self.root_bandwidth is not None:
+            config = dataclasses.replace(
+                config,
+                workload=dataclasses.replace(
+                    config.workload, root_bandwidth=self.root_bandwidth
+                ),
+            )
+        return config
 
-        checker = InvariantChecker(strict=False)
-    sim = RecoverySimulation(
-        config,
-        protocol_factory(protocol_name),
-        spec.scheme_list(),
-        topology=topology,
-        oracle=oracle,
-        check_invariants=checker if checker is not None else False,
-    )
-    resilience = ResilienceMetrics(config.warmup_s, config.horizon_s)
-    injector = FaultInjector(FaultSchedule(seed=seed, faults=scenario.faults))
-    injector.bind(sim.churn, resilience=resilience)
-    attachment = None
-    if obs_active():
-        from ..obs.attach import ObsAttachment
+    def run_cell(
+        self,
+        scenario_name: str,
+        protocol_name: str,
+        seed: int,
+        scale: float = 1.0,
+        check_invariants: bool = False,
+        trees: Optional[int] = None,
+    ) -> dict:
+        """Run one grid cell; returns the JSON-ready per-run record (the
+        report's ``runs`` entries).
 
-        attachment = ObsAttachment(
-            meta={
-                "kind": "recovery",
-                "scenario": scenario.name,
-                "protocol": protocol_name,
-                "population": spec.population,
-                "seed": seed,
-                "scale": scale,
+        With ``check_invariants`` every simulation carries its own
+        non-strict :class:`~repro.invariants.InvariantChecker`; findings
+        land in the record's ``invariants`` block instead of aborting.
+        """
+        from ..experiments.common import shared_topology
+
+        checkers: list = []
+        new_checker = None
+        if check_invariants:
+            from ..invariants import InvariantChecker
+
+            def new_checker():
+                checkers.append(InvariantChecker(strict=False))
+                return checkers[-1]
+
+        config = self.config(seed, scale)
+        topology, oracle = shared_topology(config)
+        record = self._simulate(
+            self.scenario(scenario_name), protocol_name, trees, seed, scale,
+            config, topology, oracle, new_checker,
+        )
+        if check_invariants:
+            violations = [v for c in checkers for v in c.violations]
+            record["invariants"] = {
+                "checked": True,
+                "sweeps": sum(c.sweeps for c in checkers),
+                "violations": len(violations),
+                "reports": [
+                    v.as_dict() for v in violations[:MAX_VIOLATION_REPORTS]
+                ],
             }
-        ).attach(sim)
-    result = sim.run()
-    resilience.finish(config.horizon_s)
-    if attachment is not None:
-        emit_unit(attachment.finalize(result))
-
-    churn_metrics = result.churn.metrics
-    schemes = {}
-    for name in sorted(result.schemes):
-        scheme_result = result.schemes[name]
-        groups = scheme_result.groups_selected
-        schemes[name] = {
-            "starving_ratio_pct": scheme_result.avg_starving_ratio_pct,
-            "repair_success_rate": scheme_result.repair_success_rate,
-            "episodes": scheme_result.episodes,
-            "gap_packets": scheme_result.gap_packets_total,
-            "repaired_packets": scheme_result.repaired_packets_total,
-            "mean_group_domain_correlation": (
-                scheme_result.mean_group_domain_correlation
-            ),
-            "mean_group_tree_correlation": (
-                scheme_result.group_tree_correlation_sum / groups
-                if groups
-                else float("nan")
-            ),
-        }
-    fault_events = sum(
-        count
-        for cause, count in resilience.disruption_events.items()
-        if cause.startswith("fault:")
-    )
-    record: dict = {
-        "scenario": scenario.name,
-        "protocol": protocol_name,
-        "seed": seed,
-        "mean_population": churn_metrics.mean_population,
-        "fault_log": [
-            {"t": t, "kind": kind, "detail": detail}
-            for t, kind, detail in injector.log
-        ],
-        "fault_disruption_events": fault_events,
-        "mttr_s": resilience.mttr_s(),
-        "mttr_churn_s": resilience.mttr_s("churn"),
-        "delivered_data_ratio": resilience.delivered_data_ratio(
-            churn_metrics.node_seconds
-        ),
-        "resilience": resilience.as_dict(),
-        "schemes": schemes,
-    }
-    if checker is not None:
-        record["invariants"] = {
-            "checked": True,
-            "sweeps": checker.sweeps,
-            "violations": len(checker.violations),
-            "reports": [
-                v.as_dict() for v in checker.violations[:MAX_VIOLATION_REPORTS]
-            ],
-        }
-    return record
+        return record
 
 
-# -- campaign fan-out --------------------------------------------------------------
+#: The per-cell metrics a fault summary averages over seeds (plus the
+#: per-scheme repair success and group domain correlation).
+_FAULT_METRICS = (
+    "fault_disruption_events",
+    "mttr_s",
+    "mttr_churn_s",
+    "delivered_data_ratio",
+)
 
 
-@dataclass
-class CampaignReport:
-    """The merged outcome of one campaign."""
+@dataclass(frozen=True)
+class CampaignSpec(_Campaign):
+    """A fault campaign: scenarios x protocols x seeds of recovery runs."""
 
-    table: str
-    data: dict = field(default_factory=dict)
-    #: Observability payloads merged from every run in submission order
-    #: (keys ``trace`` / ``metrics`` / ``profile``; see :mod:`repro.obs`).
-    artifacts: dict = field(default_factory=dict)
+    #: Also evaluate the domain-aware CER variant (distinct stub domains
+    #: preferred in MLC selection).
+    domain_aware: bool = True
 
-    def __str__(self) -> str:
-        return self.table
+    family: ClassVar[str] = "faults"
+    default_spec: ClassVar[dict] = DEFAULT_CAMPAIGN_SPEC
+    title: ClassVar[str] = "Fault campaign"
+    default_seed_count: ClassVar[int] = 2
 
+    def scheme_list(self):
+        """The recovery schemes every run of this campaign evaluates."""
+        schemes = [
+            cer_scheme(self.group_size, self.buffer_s),
+            single_source_scheme(self.group_size, self.buffer_s),
+        ]
+        if self.domain_aware:
+            schemes.append(
+                cer_scheme(self.group_size, self.buffer_s, domain_aware=True)
+            )
+        return schemes
 
-def _nanmean(values: Sequence[float]) -> float:
-    clean = [v for v in values if isinstance(v, (int, float)) and v == v]
-    return sum(clean) / len(clean) if clean else math.nan
+    def tree_axis(self) -> Tuple[Optional[int], ...]:
+        return (None,)
 
+    def _simulate(
+        self, scenario, protocol, trees, seed, scale, config, topology, oracle,
+        new_checker,
+    ) -> dict:
+        from ..experiments.common import protocol_factory
+        from ..metrics.collectors import ResilienceMetrics
+        from ..obs.capture import emit_unit, obs_active
+        from ..simulation.streaming import RecoverySimulation
+        from .injector import FaultInjector
 
-def run_campaign(
-    spec: CampaignSpec,
-    scale: float = 1.0,
-    seed: int = 42,
-    jobs: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    check_invariants: bool = False,
-) -> CampaignReport:
-    """Fan the campaign's (scenario x protocol x seed) grid out and merge.
-
-    Jobs go through :func:`repro.experiments.pool.run_jobs`, which
-    preserves submission order, so the emitted report is byte-identical
-    for a given seed at any ``jobs`` value.  ``check_invariants`` runs
-    every unit under a non-strict invariant checker and rolls the
-    violation counts up into the report.
-
-    With a durable run store active (``REPRO_STORE_DIR``), each unit
-    commits to the ledger as it completes; under ``REPRO_STORE_RESUME``
-    already-completed units are replayed from their stored payloads
-    instead of re-executed, and the merge cannot tell the difference —
-    the replayed record and artifacts are the original bytes.
-    """
-    from ..experiments.pool import ExperimentJob, run_jobs
-
-    seeds = spec.seeds or (seed, seed + 1)
-    spec_json = spec.canonical_json()
-    # Only added when enabled, so job identities (and any caching keyed on
-    # them) are unchanged for ordinary runs.
-    extra = {"check_invariants": True} if check_invariants else {}
-    batch = [
-        ExperimentJob.make(
-            "faults_scenario",
-            scale=scale,
-            seed=run_seed,
-            spec=spec_json,
-            scenario=scenario.name,
-            protocol=protocol,
-            **extra,
+        sim = RecoverySimulation(
+            config,
+            protocol_factory(protocol),
+            self.scheme_list(),
+            topology=topology,
+            oracle=oracle,
+            check_invariants=new_checker() if new_checker else False,
         )
-        for scenario in spec.scenarios
-        for protocol in spec.protocols
-        for run_seed in seeds
-    ]
-    results = run_jobs(batch, parallel_jobs=jobs, timeout_s=timeout_s)
-    runs = [r.data for r in results]
-    report = build_report(spec, scale=scale, seeds=list(seeds), runs=runs)
-    for result in results:
-        for key, payload in result.artifacts.items():
-            report.artifacts.setdefault(key, []).extend(payload)
-    return report
+        resilience = ResilienceMetrics(config.warmup_s, config.horizon_s)
+        injector = FaultInjector(FaultSchedule(seed=seed, faults=scenario.faults))
+        injector.bind(sim.churn, resilience=resilience)
+        attachment = None
+        if obs_active():
+            from ..obs.attach import ObsAttachment
+
+            attachment = ObsAttachment(
+                meta={
+                    "kind": "recovery",
+                    "scenario": scenario.name,
+                    "protocol": protocol,
+                    "population": self.population,
+                    "seed": seed,
+                    "scale": scale,
+                }
+            ).attach(sim)
+        result = sim.run()
+        resilience.finish(config.horizon_s)
+        if attachment is not None:
+            emit_unit(attachment.finalize(result))
+
+        churn_metrics = result.churn.metrics
+        schemes = {}
+        for name in sorted(result.schemes):
+            scheme_result = result.schemes[name]
+            groups = scheme_result.groups_selected
+            schemes[name] = {
+                "starving_ratio_pct": scheme_result.avg_starving_ratio_pct,
+                "repair_success_rate": scheme_result.repair_success_rate,
+                "episodes": scheme_result.episodes,
+                "gap_packets": scheme_result.gap_packets_total,
+                "repaired_packets": scheme_result.repaired_packets_total,
+                "mean_group_domain_correlation": (
+                    scheme_result.mean_group_domain_correlation
+                ),
+                "mean_group_tree_correlation": (
+                    scheme_result.group_tree_correlation_sum / groups
+                    if groups
+                    else float("nan")
+                ),
+            }
+        fault_events = sum(
+            count
+            for cause, count in resilience.disruption_events.items()
+            if cause.startswith("fault:")
+        )
+        return {
+            "scenario": scenario.name,
+            "protocol": protocol,
+            "seed": seed,
+            "mean_population": churn_metrics.mean_population,
+            "fault_log": [
+                {"t": t, "kind": kind, "detail": detail}
+                for t, kind, detail in injector.log
+            ],
+            "fault_disruption_events": fault_events,
+            "mttr_s": resilience.mttr_s(),
+            "mttr_churn_s": resilience.mttr_s("churn"),
+            "delivered_data_ratio": resilience.delivered_data_ratio(
+                churn_metrics.node_seconds
+            ),
+            "resilience": resilience.as_dict(),
+            "schemes": schemes,
+        }
+
+    def summarize(self, group: List[dict]) -> dict:
+        entry = {key: _nanmean([r[key] for r in group]) for key in _FAULT_METRICS}
+        for key in ("repair_success_rate", "mean_group_domain_correlation"):
+            entry[key] = {
+                s.name: _nanmean([r["schemes"][s.name][key] for r in group])
+                for s in self.scheme_list()
+            }
+        return entry
+
+    def report_axes(self) -> dict:
+        return {
+            "protocols": list(self.protocols),
+            "scenarios": [s.name for s in self.scenarios],
+            "schemes": [s.name for s in self.scheme_list()],
+        }
+
+    def table_columns(self) -> List[str]:
+        return [
+            "fault events",
+            "MTTR s",
+            "delivered",
+            *[f"{s.name} success" for s in self.scheme_list()],
+        ]
+
+    def table_row(self, trees: Optional[int], entry: dict) -> list:
+        return [
+            entry["fault_disruption_events"],
+            entry["mttr_s"],
+            entry["delivered_data_ratio"],
+            *[entry["repair_success_rate"][s.name] for s in self.scheme_list()],
+        ]
+
+
+#: The per-cell metrics a K-tree summary averages over seeds.
+_MULTITREE_METRICS = (
+    "blackout_rate",
+    "stripe_outage_rate",
+    "mean_delivered_quality",
+    "blackouts_per_node",
+    "stripe_outages_per_node",
+    "members_measured",
+)
+_MULTITREE_SERIES = ("blackout_rate", "stripe_outage_rate", "delivered_quality")
+
+
+def _mean_series(group: List[dict], series_key: str) -> List[float]:
+    """Element-wise seed mean of one per-run resilience series."""
+    rows = [r["resilience"]["series"][series_key] for r in group]
+    if not rows:
+        return []
+    length = min(len(row) for row in rows)
+    return [_nanmean([row[i] for row in rows]) for i in range(length)]
+
+
+@dataclass(frozen=True)
+class MultiTreeCampaignSpec(_Campaign):
+    """A K-tree campaign: scenarios x protocols x tree counts x seeds."""
+
+    population: int = 500
+    root_bandwidth: Optional[float] = 4.0
+    #: CER/MLC group size per stripe; 0 disables repair-scheme pricing.
+    group_size: int = 0
+    tree_counts: Tuple[int, ...] = (1, 2, 4, 8)
+    #: Per-stripe BTP switching interval; ``None`` disables switching.
+    switch_interval_s: Optional[float] = None
+
+    family: ClassVar[str] = "multitree"
+    default_spec: ClassVar[dict] = DEFAULT_MULTITREE_SPEC
+    title: ClassVar[str] = "Multi-tree campaign"
+    default_seed_count: ClassVar[int] = 1
+
+    def _check(self) -> None:
+        if not self.tree_counts:
+            raise FaultError("campaign needs at least one tree count")
+        for count in self.tree_counts:
+            if count < 1:
+                raise FaultError(f"tree counts must be >= 1, got {count}")
+        if len(set(self.tree_counts)) != len(self.tree_counts):
+            raise FaultError(f"duplicate tree counts: {list(self.tree_counts)}")
+        object.__setattr__(
+            self, "tree_counts", tuple(int(k) for k in self.tree_counts)
+        )
+
+    def scheme_list(self) -> list:
+        """The per-stripe repair schemes (empty when repair is disabled)."""
+        if self.group_size < 1:
+            return []
+        return [cer_scheme(self.group_size, self.buffer_s)]
+
+    def tree_axis(self) -> Tuple[Optional[int], ...]:
+        return self.tree_counts
+
+    def _simulate(
+        self, scenario, protocol, trees, seed, scale, config, topology, oracle,
+        new_checker,
+    ) -> dict:
+        from ..multitree.driver import MultiTreeSimulation
+
+        sim = MultiTreeSimulation(
+            config,
+            num_trees=trees,
+            topology=topology,
+            oracle=oracle,
+            stripe_protocols=[protocol],
+            switch_interval_s=self.switch_interval_s,
+            schemes=self.scheme_list() or None,
+            faults=(
+                FaultSchedule(seed=seed, faults=scenario.faults)
+                if scenario.faults
+                else None
+            ),
+            check_invariants=new_checker or False,
+            obs_meta={"scenario": scenario.name, "scale": scale},
+        )
+        result = sim.run()
+
+        churn_result = getattr(result.per_tree[0], "churn", result.per_tree[0])
+        record: dict = {
+            "scenario": scenario.name,
+            "protocol": protocol,
+            "trees": trees,
+            "seed": seed,
+            "mean_population": churn_result.metrics.mean_population,
+            "fault_log": [
+                {"t": t, "kind": kind, "detail": detail}
+                for t, kind, detail in result.fault_log
+            ],
+            "blackout_rate": result.blackout_rate,
+            "stripe_outage_rate": result.stripe_outage_rate,
+            "mean_delivered_quality": result.mean_delivered_quality,
+            "blackouts_per_node": result.blackouts_per_node,
+            "stripe_outages_per_node": result.stripe_disruptions_per_node,
+            "members_measured": result.members_measured,
+            "effective_delay_ms": result.effective_delay_ms,
+            "resilience": result.resilience,
+        }
+        if self.group_size >= 1:
+            # Per-stripe scheme results, averaged (episodes summed).
+            stripes = result.per_tree
+            record["schemes"] = {
+                name: {
+                    "starving_ratio_pct": _nanmean(
+                        [t.schemes[name].avg_starving_ratio_pct for t in stripes]
+                    ),
+                    "repair_success_rate": _nanmean(
+                        [t.schemes[name].repair_success_rate for t in stripes]
+                    ),
+                    "episodes": sum(t.schemes[name].episodes for t in stripes),
+                }
+                for name in sorted(stripes[0].schemes)
+            }
+        return record
+
+    def summarize(self, group: List[dict]) -> dict:
+        entry = {
+            key: _nanmean([r[key] for r in group]) for key in _MULTITREE_METRICS
+        }
+        entry["series"] = {key: _mean_series(group, key) for key in _MULTITREE_SERIES}
+        return entry
+
+    def report_axes(self) -> dict:
+        return {
+            "protocols": list(self.protocols),
+            "tree_counts": list(self.tree_counts),
+            "scenarios": [s.name for s in self.scenarios],
+        }
+
+    def table_columns(self) -> List[str]:
+        return ["K", "blackout rate", "outage rate", "quality %", "blackouts/node"]
+
+    def table_row(self, trees: Optional[int], entry: dict) -> list:
+        return [
+            trees,
+            entry["blackout_rate"],
+            entry["stripe_outage_rate"],
+            100.0 * entry["mean_delivered_quality"],
+            entry["blackouts_per_node"],
+        ]
+
+
+#: Campaign families by the name a scenario unit carries.
+FAMILIES = {cls.family: cls for cls in (CampaignSpec, MultiTreeCampaignSpec)}
 
 
 def build_report(
-    spec: CampaignSpec, scale: float, seeds: List[int], runs: List[dict]
+    spec: _Campaign, scale: float, seeds: List[int], runs: List[dict]
 ) -> CampaignReport:
-    """Aggregate per-run records into the campaign table + JSON schema."""
-    scheme_names = [s.name for s in spec.scheme_list()]
-    summary: Dict[str, Dict[str, dict]] = {}
+    """Aggregate per-run records, in grid order, into the report."""
+    cells: Dict[tuple, List[dict]] = {}
+    for run in runs:
+        key = (run["scenario"], run["protocol"], run.get("trees"))
+        cells.setdefault(key, []).append(run)
+    summary: Dict[str, dict] = {}
     rows = []
-    for scenario in spec.scenarios:
-        for protocol in spec.protocols:
-            group = [
-                r
-                for r in runs
-                if r["scenario"] == scenario.name and r["protocol"] == protocol
-            ]
-            entry = {
-                "fault_disruption_events": _nanmean(
-                    [r["fault_disruption_events"] for r in group]
-                ),
-                "mttr_s": _nanmean([r["mttr_s"] for r in group]),
-                "mttr_churn_s": _nanmean([r["mttr_churn_s"] for r in group]),
-                "delivered_data_ratio": _nanmean(
-                    [r["delivered_data_ratio"] for r in group]
-                ),
-                "repair_success_rate": {
-                    name: _nanmean(
-                        [r["schemes"][name]["repair_success_rate"] for r in group]
-                    )
-                    for name in scheme_names
-                },
-                "mean_group_domain_correlation": {
-                    name: _nanmean(
-                        [
-                            r["schemes"][name]["mean_group_domain_correlation"]
-                            for r in group
-                        ]
-                    )
-                    for name in scheme_names
-                },
-            }
-            summary.setdefault(scenario.name, {})[protocol] = entry
-            rows.append(
-                [
-                    scenario.name,
-                    protocol,
-                    entry["fault_disruption_events"],
-                    entry["mttr_s"],
-                    entry["delivered_data_ratio"],
-                    *[entry["repair_success_rate"][name] for name in scheme_names],
-                ]
-            )
-    header = [
-        "scenario",
-        "protocol",
-        "fault events",
-        "MTTR s",
-        "delivered",
-        *[f"{name} success" for name in scheme_names],
-    ]
+    for (scenario, protocol, trees), group in cells.items():
+        entry = spec.summarize(group)
+        by_protocol = summary.setdefault(scenario, {})
+        if trees is None:
+            by_protocol[protocol] = entry
+        else:
+            by_protocol.setdefault(protocol, {})[f"K{trees}"] = entry
+        rows.append([scenario, protocol, *spec.table_row(trees, entry)])
     table = render_table(
-        f"Fault campaign {spec.name!r} "
+        f"{spec.title} {spec.name!r} "
         f"(seeds {seeds}, scale {scale:g}, {len(runs)} runs)",
-        header,
+        ["scenario", "protocol", *spec.table_columns()],
         rows,
     )
     data = {
@@ -512,9 +695,7 @@ def build_report(
         "description": spec.description,
         "scale": scale,
         "seeds": list(seeds),
-        "protocols": list(spec.protocols),
-        "scenarios": [s.name for s in spec.scenarios],
-        "schemes": scheme_names,
+        **spec.report_axes(),
         "summary": summary,
         "runs": runs,
     }
@@ -523,3 +704,18 @@ def build_report(
             r.get("invariants", {}).get("violations", 0) for r in runs
         )
     return CampaignReport(table=table, data=data)
+
+
+def gate_data(report_data: dict) -> dict:
+    """The NaN-free subset of a K-tree report the validate gate freezes.
+
+    Per-run records carry diagnostic leaves that may legitimately be NaN
+    at tiny scales (e.g. ``effective_delay_ms`` when no member holds all
+    K stripes at the end state); the gated surface is the seed-averaged
+    summary, whose rates and series are finite by construction.
+    """
+    return {
+        key: value
+        for key, value in report_data.items()
+        if key not in ("description", "runs")
+    }

@@ -17,9 +17,11 @@ the multiple-description-coding resilience argument the paper cites.
 * :mod:`repro.multitree.faults` — correlated fault planning (one kill,
   all stripes);
 * :mod:`repro.multitree.driver` — the K-tree orchestrator composing
-  protocols, repair schemes and fault schedules per stripe;
-* :mod:`repro.multitree.campaign` — the ``multitree_resilience``
-  scenario grid (K x protocol x fault scenario) and its report.
+  protocols, repair schemes and fault schedules per stripe.
+
+The ``multitree_resilience`` scenario grid (K x protocol x fault
+scenario) and its report are the K-tree family of
+:mod:`repro.faults.campaign`.
 """
 
 from .driver import MultiTreeResult, MultiTreeSimulation, home_tree

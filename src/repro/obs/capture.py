@@ -159,8 +159,8 @@ def emit_unit(unit: ObsUnit) -> None:
 def job_capture() -> Iterator[Optional[JobCapture]]:
     """Open a capture for one job; yields ``None`` when obs is inactive.
 
-    Nests safely: an inner capture (e.g. a campaign experiment fanning
-    out its own jobs in-process) shadows the outer one for its duration
+    Nests safely: an inner capture (e.g. a cached campaign scenario run
+    collecting its own units) shadows the outer one for its duration
     and restores it afterwards.
     """
     global _current

@@ -143,19 +143,19 @@ class RunStore:
         """Persist one executed simulation unit's exact payload.
 
         Same artifact-first publication order as :meth:`record_result`.
-        The ledger row's ``experiment_id`` is ``sim:churn`` /
-        ``sim:recovery``, so figure-level rows and simulation-unit rows
-        share one ledger without colliding, and the acceptance assert
-        (*each deduped unit executes exactly once*) can filter on the
-        prefix and read the ``executions`` counters.
+        The ledger row's ``experiment_id`` is the unit kind (``sim:churn``
+        / ``sim:recovery`` / ``sim:scenario``), so figure-level rows and
+        simulation-unit rows share one ledger without colliding, and the
+        acceptance assert (*each deduped unit executes exactly once*) can
+        filter on the prefix and read the ``executions`` counters.
         """
         doc = unit.store_doc()
         digest = self.artifacts.put(payload_json.encode("utf-8"))
         self.ledger.record_unit(
             key,
             experiment_id=f"sim:{doc['unit']}",
-            scale=doc["settings"]["scale"],
-            seed=doc["settings"]["seed"],
+            scale=unit.scale,
+            seed=unit.seed,
             params_json=canonical_json(doc),
             artifact=digest,
         )

@@ -1,8 +1,9 @@
 """Zero-copy sharing of topology/oracle arrays via POSIX shared memory.
 
 A parallel sweep at high ``--jobs`` makes every worker load (or worse,
-recompute) its own copy of the underlay arrays — the delay oracle's
-distance matrices dominate, at paper scale tens of MB per worker.  This
+recompute) its own copy of the underlay arrays: at paper scale ~4.6 MB
+per worker, 2.4 MB of delay-oracle matrices plus 2.2 MB of graph and
+domain arrays (measured in ``docs/performance.md``).  This
 module lets the first process that materialises a topology *publish* its
 arrays into one ``multiprocessing.shared_memory`` segment; every other
 worker *attaches* and maps the same physical pages read-only, so N

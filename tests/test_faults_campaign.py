@@ -6,13 +6,9 @@ from pathlib import Path
 import pytest
 
 from repro.errors import FaultError
-from repro.faults import (
-    DEFAULT_CAMPAIGN_SPEC,
-    CampaignSpec,
-    load_campaign,
-    resolve_campaign,
-    run_campaign,
-)
+from repro.experiments import common
+from repro.experiments.pool import ExperimentJob, run_jobs
+from repro.faults import DEFAULT_CAMPAIGN_SPEC, CampaignSpec
 from repro.faults.campaign import REPORT_SCHEMA_VERSION
 
 SMALL_SPEC = {
@@ -37,6 +33,26 @@ SMALL_SPEC = {
 SCALE = 0.1  # population 40 under a 6-slot root: deep trees, fast runs
 
 
+def run_campaign(spec, scale, jobs, **kwargs):
+    """One ``faults_campaign`` job through the pool at ``jobs``.
+
+    Returns the result and the parent's run-cache counters: at
+    ``jobs > 1`` every scenario must come back from a worker, so the
+    parent reads the runs from its cache and simulates none itself.
+    """
+    common.clear_caches()
+    job = ExperimentJob.make(
+        "faults_campaign", scale=scale, spec=spec.canonical_json(), **kwargs
+    )
+    (result,) = run_jobs([job], parallel_jobs=jobs)
+    stats = common.cache_stats()
+    if jobs > 1:
+        assert stats["scenario_misses"] == 0, stats
+        assert stats["scenario_hits"] == len(result.data["runs"]), stats
+    common.clear_caches()
+    return result
+
+
 @pytest.fixture(scope="module")
 def small_reports():
     spec = CampaignSpec.from_spec(SMALL_SPEC)
@@ -46,10 +62,10 @@ def small_reports():
 
 
 def test_default_spec_round_trip():
-    spec = resolve_campaign(None)
+    spec = CampaignSpec.resolve(None)
     assert spec.name == DEFAULT_CAMPAIGN_SPEC["name"]
-    assert resolve_campaign(spec) is spec
-    assert resolve_campaign(spec.canonical_json()) == spec
+    assert CampaignSpec.resolve(spec) is spec
+    assert CampaignSpec.resolve(spec.canonical_json()) == spec
     assert CampaignSpec.from_spec(spec.to_spec()) == spec
 
 
@@ -73,7 +89,7 @@ def test_campaign_validation():
     with pytest.raises(FaultError):
         CampaignSpec.from_spec({**SMALL_SPEC, "root_bandwidth": 0.5})
     with pytest.raises(FaultError):
-        resolve_campaign(3.5)
+        CampaignSpec.resolve(3.5)
 
 
 def test_scheme_list_includes_domain_aware_variant():
@@ -154,9 +170,9 @@ def test_checked_report_byte_identical_across_jobs_and_seeds():
 
 def test_example_campaign_specs_load():
     campaigns = Path(__file__).resolve().parents[1] / "examples" / "campaigns"
-    mirror = load_campaign(str(campaigns / "stub_outage.json"))
+    mirror = CampaignSpec.resolve(str(campaigns / "stub_outage.json"))
     assert mirror == CampaignSpec.from_spec(DEFAULT_CAMPAIGN_SPEC)
-    smoke = load_campaign(str(campaigns / "smoke.json"))
+    smoke = CampaignSpec.resolve(str(campaigns / "smoke.json"))
     assert smoke.root_bandwidth is not None  # deep trees even at tiny scale
     assert smoke.seeds  # pinned seeds: CI runs are reproducible
     assert any(

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.faults import CampaignSpec, run_scenario
+from repro.faults import CampaignSpec
 from repro.recovery.mlc import (
     PartialTreeView,
     group_underlay_correlation,
@@ -45,12 +45,12 @@ SEED = 3
 
 @pytest.fixture(scope="module")
 def baseline_run():
-    return run_scenario(SPEC, "baseline", "min-depth", seed=SEED, scale=SCALE)
+    return SPEC.run_cell("baseline", "min-depth", seed=SEED, scale=SCALE)
 
 
 @pytest.fixture(scope="module")
 def outage_run():
-    return run_scenario(SPEC, "outage", "min-depth", seed=SEED, scale=SCALE)
+    return SPEC.run_cell("outage", "min-depth", seed=SEED, scale=SCALE)
 
 
 def test_outage_fires_and_disrupts(outage_run):
@@ -77,7 +77,7 @@ def test_outage_degrades_cer_repair(baseline_run, outage_run):
 
 
 def test_correlation_accounting_deterministic_per_seed(outage_run):
-    rerun = run_scenario(SPEC, "outage", "min-depth", seed=SEED, scale=SCALE)
+    rerun = SPEC.run_cell("outage", "min-depth", seed=SEED, scale=SCALE)
     dump = lambda r: json.dumps(r, sort_keys=True, default=str)  # noqa: E731
     assert dump(rerun) == dump(outage_run)
     for name, scheme in outage_run["schemes"].items():

@@ -1,9 +1,9 @@
 """Observability through the fault-injection campaign path.
 
-The campaign fans its own (scenario × protocol × seed) jobs out under
-nested captures; the merged artifacts must ride the campaign report onto
-the experiment result, stay in submission order, and reconcile with the
-per-run records the resilience report already carries.
+Each (scenario × protocol × seed) cell is a scenario unit: at ``--jobs``
+above 1 it runs in a worker and its captured artifacts replay in the
+parent.  The merged artifacts must stay in grid order and reconcile with
+the per-run records the resilience report already carries.
 """
 
 import json
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.experiments import common
-from repro.experiments.pool import ExperimentJob, execute_job
+from repro.experiments.pool import ExperimentJob, run_jobs
 from repro.faults import CampaignSpec
 from repro.obs.schema import validate_trace_lines
 
@@ -52,11 +52,15 @@ def spec_json():
 
 
 def _run_campaign_job(spec_json, jobs):
-    return execute_job(
-        ExperimentJob.make(
-            "faults_campaign", scale=SCALE, seed=1, spec=spec_json, jobs=jobs
-        )
-    )
+    job = ExperimentJob.make("faults_campaign", scale=SCALE, seed=1, spec=spec_json)
+    (result,) = run_jobs([job], parallel_jobs=jobs)
+    if jobs > 1:
+        # The scenarios ran in worker processes: the parent only replayed
+        # them (and their captured artifacts) from its run cache.
+        stats = common.cache_stats()
+        assert stats["scenario_misses"] == 0, stats
+        assert stats["scenario_hits"] == len(result.data["runs"]), stats
+    return result
 
 
 def test_campaign_artifacts_reconcile_with_report(spec_json):

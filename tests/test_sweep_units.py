@@ -72,6 +72,14 @@ def test_sweep_figures_share_units():
     fig05_keys = {u.cache_key() for u in units_for("fig05", 0.02, 3)}
     assert fig05_keys < sweep_keys
     assert {u.cache_key() for u in units_for("control-messages", 0.02, 3)} == fig05_keys
+    # A scenario experiment's cell is one of its campaign's cells.
+    for scenario_id, campaign_id in (
+        ("faults_scenario", "faults_campaign"),
+        ("multitree_scenario", "multitree_resilience"),
+    ):
+        cell_keys = {u.cache_key() for u in units_for(scenario_id, 0.02, 3)}
+        grid_keys = {u.cache_key() for u in units_for(campaign_id, 0.02, 3)}
+        assert len(cell_keys) == 1 and cell_keys < grid_keys
 
 
 def test_probe_figures_share_units():
@@ -105,7 +113,7 @@ def test_plan_dedups_across_figures():
 
 
 def test_undeclared_experiment_falls_back_to_whole_job():
-    assert units_for("faults_scenario", 0.02, 3) is None
+    assert units_for("ext-multitree", 0.02, 3) is None
 
 
 # -- exact payload round-trips -----------------------------------------------------
@@ -209,7 +217,19 @@ def test_executed_unit_payload_seeds_an_identical_cache_entry():
 
 # -- byte-identity: unit-scheduled vs serial ---------------------------------------
 
-BATCH_IDS = ("fig05", "control-messages", "fig13")
+BATCH_IDS = (
+    "fig05",
+    "control-messages",
+    "fig13",
+    "faults_scenario",
+    "faults_campaign",
+    "multitree_scenario",
+    "multitree_resilience",
+)
+#: Distinct campaign cells in BATCH_IDS: the built-in fault grid (3
+#: scenarios x 2 seeds) plus the K-tree grid (3 scenarios x 4 Ks); the
+#: two scenario experiments re-declare a cell of their campaign.
+SCENARIO_UNITS = 6 + 12
 
 
 def _snapshot(results):
@@ -245,7 +265,9 @@ def test_unit_scheduled_matches_serial_including_obs_traces(monkeypatch):
     stats = common.cache_stats()
     assert stats["churn_misses"] == 0
     assert stats["recovery_misses"] == 0
+    assert stats["scenario_misses"] == 0
     assert stats["churn_hits"] > 0
+    assert stats["scenario_hits"] > SCENARIO_UNITS
 
 
 def test_parallel_campaign_executes_each_unit_once(tmp_path, monkeypatch):
@@ -260,6 +282,8 @@ def test_parallel_campaign_executes_each_unit_once(tmp_path, monkeypatch):
     assert rows, "parallel campaign should record simulation units"
     assert all(executions == 1 for _, executions, _ in rows)
     assert all(hits == 0 for _, _, hits in rows)
+    scenario_rows = [row for row in rows if row[0] == "sim:scenario"]
+    assert len(scenario_rows) == SCENARIO_UNITS
 
     # Resume: completed units replay from the store, executions stay 1.
     monkeypatch.setenv("REPRO_STORE_RESUME", "1")
