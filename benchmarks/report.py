@@ -214,10 +214,15 @@ def main(argv=None) -> int:
             print(f"campaign sweep at --jobs {args.sweep_jobs} ...", flush=True)
             sweep = bench_sweep(args.scale, args.seed, args.sweep_jobs)
 
+    from repro.context import current
     from repro.experiments.pool import resolve_jobs
-    from repro.obs.capture import obs_env
 
-    obs_flags = obs_env()
+    context = current()
+    obs_flags = {
+        name: True
+        for name in ("trace", "trace_events", "metrics", "profile")
+        if getattr(context, name)
+    }
     report = {
         "meta": {
             "schema_version": SCHEMA_VERSION,

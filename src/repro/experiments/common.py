@@ -10,11 +10,11 @@ workload over a shared underlay, mirroring the paper's methodology.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig, paper_config
+from ..context import current
 from ..obs.capture import ObsUnit, emit_unit, job_capture, obs_fingerprint
 from ..protocols import PROTOCOLS
 from ..protocols.rost import RostProtocol
@@ -78,12 +78,8 @@ def cache_stats() -> Dict[str, int]:
 
 
 def clear_caches() -> None:
-    """Drop all cached runs (tests use this to force fresh sweeps).
-
-    Clears the in-memory tiers only; an on-disk topology cache configured
-    via ``REPRO_CACHE_DIR`` survives (its entries are content-addressed,
-    so staleness is not a concern).
-    """
+    """Drop all cached runs and topologies (tests use this to force
+    fresh sweeps)."""
     clear_default_cache()
     _workload_cache.clear()
     _churn_cache.clear()
@@ -113,12 +109,8 @@ class SweepSettings:
 
 
 def shared_topology(config: SimulationConfig):
-    """Topology + oracle via the two-tier content-keyed cache.
-
-    Repeat calls in one process hit the memory LRU; with ``REPRO_CACHE_DIR``
-    set, pool workers and repeat CLI invocations additionally share the
-    precomputed matrices through the disk tier.
-    """
+    """Topology + oracle via the process-wide content-keyed LRU, so
+    repeat calls in one process build each underlay once."""
     return default_cache().get(config.topology)
 
 
@@ -148,12 +140,6 @@ def shared_workload(
         )
         _workload_cache[key] = workload
     return workload
-
-
-def _invariants_enabled() -> bool:
-    """The CLI's ``--check-invariants`` travels via the environment (it
-    must reach pool workers and the cached run helpers alike)."""
-    return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
 
 
 def protocol_factory(name: str, **kwargs) -> Callable:
@@ -190,7 +176,7 @@ def churn_key(
         probe_lifetime_s,
         switch_interval_s,
         tuple(sorted((rost_flags or {}).items())),
-        _invariants_enabled(),
+        current().check_invariants,
         obs_fingerprint(),
     )
 
@@ -204,7 +190,7 @@ def churn_run(
     rost_flags: Optional[dict] = None,
 ) -> ChurnRunResult:
     """One (cached) churn run."""
-    checked = _invariants_enabled()
+    checked = current().check_invariants
     obs_fp = obs_fingerprint()
     key = churn_key(
         protocol_name,
@@ -272,7 +258,7 @@ def recovery_key(
         settings,
         tuple(scheme_names),
         replica,
-        _invariants_enabled(),
+        current().check_invariants,
         obs_fingerprint(),
     )
 
@@ -285,7 +271,7 @@ def recovery_run(
     replica: int = 0,
 ) -> RecoveryRunResult:
     """One (cached) recovery run evaluating a grid of schemes."""
-    checked = _invariants_enabled()
+    checked = current().check_invariants
     obs_fp = obs_fingerprint()
     key = recovery_key(
         protocol_name,

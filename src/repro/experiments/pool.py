@@ -32,12 +32,14 @@ Robustness model:
   the per-job ``timeout_s`` is retried **once, in-process**; the retry
   is deterministic, so a flaky worker cannot change results.  A second
   failure propagates.
-* Workers share the expensive underlay precompute through the on-disk
-  topology cache (:mod:`repro.topology.cache`): if ``REPRO_CACHE_DIR``
-  is not set, the pool provisions a temporary shared cache directory for
-  the duration of the run, so N workers pay for each distinct underlay
-  once instead of N times — and nothing needs to pickle oracles across
-  the process boundary.
+* Each worker builds the underlays it needs in its own in-process
+  topology cache (:mod:`repro.topology.cache`); nothing ships an oracle
+  across the process boundary, and a build costs about a second even at
+  paper scale.
+* Run-wide settings (obs channels, invariant checking, the run store)
+  reach the workers as one frozen :class:`~repro.context.RunContext`,
+  the single argument of the worker initializer, so they survive both
+  the ``fork`` and ``spawn`` start methods.
 * Worker processes are capped at the machine's core count: the sims are
   CPU-bound, so extra processes only add contention.  ``--jobs`` remains
   the requested ceiling and has no effect on results.
@@ -50,32 +52,23 @@ Robustness model:
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..obs.capture import apply_obs_env, job_capture, obs_env
+from ..context import RunContext, current, install
+from ..obs.capture import job_capture
 from ..obs.profile import record_stage, stage_timer
-from ..store.runstore import (
-    active_store,
-    apply_store_env,
-    resume_enabled,
-    store_env,
-)
-from ..topology import shm
-from ..topology.cache import ENV_CACHE_DIR
+from ..store.runstore import active_store
 from . import units as units_mod
 from .registry import ExperimentResult, run_experiment
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: None -> $REPRO_JOBS or cpu count."""
+    """Normalize a ``--jobs`` value: None -> the CPU count."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -110,15 +103,15 @@ def execute_job(job: ExperimentJob) -> ExperimentResult:
     here and attached to the result regardless of where the job ran.
 
     It is also where the durable run store (:mod:`repro.store`) hooks
-    in: with ``REPRO_STORE_DIR`` set, every completed unit commits its
-    result payload to the ledger, and with ``REPRO_STORE_RESUME`` a unit
+    in: with a store in the run context, every completed unit commits its
+    result payload to the ledger, and with ``--resume`` a unit
     the ledger already has is *replayed* — execution skipped, the stored
     table/data/artifacts returned verbatim — which is what makes
     ``--resume`` after a crash byte-identical to an uninterrupted run.
     """
     store = active_store()
     key = store.job_key(job) if store is not None else None
-    if store is not None and resume_enabled():
+    if store is not None and current().resume:
         replayed = store.replay(key)
         if replayed is not None:
             return replayed
@@ -135,24 +128,9 @@ def execute_job(job: ExperimentJob) -> ExperimentResult:
     return result
 
 
-def _worker_init(
-    cache_dir: Optional[str],
-    obs_flags: dict,
-    shm_session: Optional[str] = None,
-    store_flags: Optional[dict] = None,
-) -> None:
-    if cache_dir:
-        os.environ[ENV_CACHE_DIR] = cache_dir
-    if shm_session:
-        # Join the pool's shared-memory session: the topology cache will
-        # attach published artefacts zero-copy (see repro.topology.shm).
-        os.environ[shm.ENV_SHM_SESSION] = shm_session
-    # Re-export the observability and run-store flags explicitly: with
-    # the fork start method they are inherited anyway, but spawn-based
-    # platforms would otherwise silently drop tracing/checkpointing in
-    # workers.
-    apply_obs_env(obs_flags)
-    apply_store_env(store_flags or {})
+def _worker_init(context: RunContext) -> None:
+    """Install the parent's run context in a fresh worker process."""
+    install(context)
 
 
 class ExperimentPool:
@@ -228,7 +206,7 @@ class ExperimentPool:
         bumps replay counters.
         """
         store = active_store()
-        skip_stored = store is not None and resume_enabled()
+        skip_stored = store is not None and current().resume
         units_by_job: List[Optional[list]] = []
         unique_units: List[units_mod.SimulationUnit] = []
         seen = set()
@@ -259,107 +237,71 @@ class ExperimentPool:
         units_by_job: List[Optional[list]],
         unique_units: List[units_mod.SimulationUnit],
     ) -> List[ExperimentResult]:
-        cache_dir = os.environ.get(ENV_CACHE_DIR) or None
-        temp_cache = None
-        if cache_dir is None:
-            temp_cache = tempfile.mkdtemp(prefix="repro-topo-cache-")
-            cache_dir = temp_cache
-        # Open a shared-memory session for the sweep: workers publish each
-        # distinct underlay once and everyone else attaches zero-copy.
-        # The parent owns the session and sweeps every segment in the
-        # finally below — including segments left by crashed workers (a
-        # retried job simply re-attaches; see repro.topology.shm).
-        shm_session = None
-        prior_session = os.environ.get(shm.ENV_SHM_SESSION)
-        if prior_session is None and shm.shm_available():
-            shm_session = shm.new_session_token()
-            os.environ[shm.ENV_SHM_SESSION] = shm_session
+        # Never oversubscribe the machine: the sims are CPU-bound, so
+        # workers beyond the core count only add contention and
+        # duplicated per-process cache state.  ``--jobs`` stays the
+        # requested ceiling (and the dedup plan is identical at any
+        # value); the executor just won't start more processes than can
+        # actually run.
+        worker_slots = min(
+            self.jobs,
+            max(len(jobs), len(unique_units)),
+            max(1, os.cpu_count() or 1),
+        )
+        executor = ProcessPoolExecutor(
+            max_workers=worker_slots,
+            initializer=_worker_init,
+            initargs=(current(),),
+        )
         try:
-            # Never oversubscribe the machine: the sims are CPU-bound, so
-            # workers beyond the core count only add contention and
-            # duplicated per-process cache state.  ``--jobs`` stays the
-            # requested ceiling (and the dedup plan is identical at any
-            # value); the executor just won't start more processes than
-            # can actually run.
-            worker_slots = min(
-                self.jobs,
-                max(len(jobs), len(unique_units)),
-                max(1, os.cpu_count() or 1),
-            )
-            executor = ProcessPoolExecutor(
-                max_workers=worker_slots,
-                initializer=_worker_init,
-                initargs=(cache_dir, obs_env(), shm_session, store_env()),
-            )
-            try:
-                # Phase 2: execute each deduplicated simulation unit once,
-                # alongside the legacy whole jobs (they share the worker
-                # pool, so unit work and whole-job work overlap freely).
-                # Whole jobs go first: each is several simulations, and
-                # queued behind the units it would finish last, alone.
-                clock = stage_timer()
-                job_futures = {
-                    i: executor.submit(execute_job, job)
-                    for i, job in enumerate(jobs)
-                    if units_by_job[i] is None
-                }
-                unit_futures = [
-                    executor.submit(units_mod.run_unit_task, unit)
-                    for unit in unique_units
-                ]
-                record_stage("pool.submit", clock())
-                clock = stage_timer()
-                for unit, future in zip(unique_units, unit_futures):
+            # Phase 2: execute each deduplicated simulation unit once,
+            # alongside the legacy whole jobs (they share the worker
+            # pool, so unit work and whole-job work overlap freely).
+            # Whole jobs go first: each is several simulations, and
+            # queued behind the units it would finish last, alone.
+            clock = stage_timer()
+            job_futures = {
+                i: executor.submit(execute_job, job)
+                for i, job in enumerate(jobs)
+                if units_by_job[i] is None
+            }
+            unit_futures = [
+                executor.submit(units_mod.run_unit_task, unit)
+                for unit in unique_units
+            ]
+            record_stage("pool.submit", clock())
+            clock = stage_timer()
+            for unit, future in zip(unique_units, unit_futures):
+                try:
+                    payload = future.result(timeout=self.timeout_s)
+                except (BrokenExecutor, FutureTimeoutError, OSError):
+                    # Crashed or wedged worker: retry once, in-process.
+                    future.cancel()
+                    self.retried_jobs += 1
+                    payload = units_mod.run_unit_task(unit)
+                units_mod.seed_unit(unit, payload)
+            record_stage("pool.units", clock())
+            # Phase 3: gather legacy jobs in submission order and demux
+            # unit-backed figures in-process — every simulation they
+            # consume is now a cache hit, so extraction costs
+            # milliseconds and still flows through the execute_job
+            # chokepoint (obs capture + store recording).
+            clock = stage_timer()
+            results: List[ExperimentResult] = []
+            for i, job in enumerate(jobs):
+                if units_by_job[i] is None:
+                    future = job_futures[i]
                     try:
-                        payload = future.result(timeout=self.timeout_s)
+                        results.append(future.result(timeout=self.timeout_s))
                     except (BrokenExecutor, FutureTimeoutError, OSError):
-                        # Crashed or wedged worker: retry once, in-process.
                         future.cancel()
-                        self.retried_jobs += 1
-                        payload = units_mod.run_unit_task(unit)
-                    units_mod.seed_unit(unit, payload)
-                record_stage("pool.units", clock())
-                # Phase 3: gather legacy jobs in submission order and
-                # demux unit-backed figures in-process — every simulation
-                # they consume is now a cache hit, so extraction costs
-                # milliseconds and still flows through the execute_job
-                # chokepoint (obs capture + store recording).
-                clock = stage_timer()
-                results: List[ExperimentResult] = []
-                for i, job in enumerate(jobs):
-                    if units_by_job[i] is None:
-                        future = job_futures[i]
-                        try:
-                            results.append(future.result(timeout=self.timeout_s))
-                        except (BrokenExecutor, FutureTimeoutError, OSError):
-                            future.cancel()
-                            results.append(self._retry_in_process(job))
-                    else:
-                        # Demux with the workers' disk cache joined: a
-                        # figure that needs the topology itself (e.g. the
-                        # probe figures) loads the workers' precomputed
-                        # underlay instead of regenerating it.  Scoped to
-                        # the demux call so legacy retries (above) run
-                        # under the caller's own environment.
-                        prior = os.environ.get(ENV_CACHE_DIR)
-                        os.environ[ENV_CACHE_DIR] = cache_dir
-                        try:
-                            results.append(execute_job(job))
-                        finally:
-                            if prior is None:
-                                os.environ.pop(ENV_CACHE_DIR, None)
-                            else:
-                                os.environ[ENV_CACHE_DIR] = prior
-                record_stage("pool.gather", clock())
-                return results
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
+                        results.append(self._retry_in_process(job))
+                else:
+                    results.append(execute_job(job))
+            record_stage("pool.gather", clock())
+            return results
         finally:
-            if shm_session is not None:
-                shm.cleanup_session(shm_session)
-                os.environ.pop(shm.ENV_SHM_SESSION, None)
-            if temp_cache is not None:
-                shutil.rmtree(temp_cache, ignore_errors=True)
+            executor.shutdown(wait=False, cancel_futures=True)
 
 
 def run_jobs(

@@ -30,8 +30,13 @@ import tempfile
 import time
 from typing import List, Optional
 
+from ..context import RunContext, installed
+from ..store.cli import ENV_STORE_DIR
 from .pool import ExperimentJob, resolve_jobs, run_jobs
 from .registry import get_experiment, list_experiments
+
+#: The environment variable ``--jobs`` defaults to (then the CPU count).
+ENV_JOBS = "REPRO_JOBS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,9 +109,9 @@ def _add_campaign_parser(
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help=f"worker processes for the {grid} grid; reports are "
-        "byte-identical at any value",
+        default=os.environ.get(ENV_JOBS) or None,
+        help=f"worker processes for the {grid} grid (default: ${ENV_JOBS} "
+        "or the CPU count); reports are byte-identical at any value",
     )
     parser.add_argument("--job-timeout", type=float, default=None)
     parser.add_argument("--out", type=str, default=None)
@@ -134,9 +139,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=os.environ.get(ENV_JOBS) or None,
         help="worker processes for independent (experiment x seed) runs "
-        "(default: $REPRO_JOBS or the CPU count; 1 = fully in-process)",
+        f"(default: ${ENV_JOBS} or the CPU count; 1 = fully in-process)",
     )
     parser.add_argument(
         "--job-timeout",
@@ -214,17 +219,17 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
         type=str,
-        default=None,
+        default=os.environ.get(ENV_STORE_DIR) or None,
         metavar="DIR",
         help="checkpoint every completed unit into this durable run store "
-        "(see docs/store.md); defaults to $REPRO_STORE_DIR when set",
+        f"(see docs/store.md); defaults to ${ENV_STORE_DIR} when set",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
         help="replay units the store's ledger already has instead of "
         "re-executing them; the final report is byte-identical to an "
-        "uninterrupted run (requires --store or $REPRO_STORE_DIR)",
+        f"uninterrupted run (requires --store or ${ENV_STORE_DIR})",
     )
 
 
@@ -481,74 +486,27 @@ def _write_svg(result, directory: str) -> None:
         handle.write(chart)
 
 
-def _set_obs_environment(args) -> dict:
-    """Export the obs CLI flags as environment variables.
-
-    Like ``--check-invariants``, the flags must reach simulations built
-    deep inside cached helpers and pool workers, so they travel through
-    the environment.  Returns the previous values so ``main`` can restore
-    them (keeps repeated in-process invocations — tests — independent).
-    """
-    from ..obs.capture import ENV_METRICS, ENV_PROFILE, ENV_TRACE, ENV_TRACE_EVENTS
-
-    wanted = {
-        ENV_TRACE: bool(getattr(args, "trace", None)),
-        ENV_TRACE_EVENTS: bool(getattr(args, "trace_events", False)),
-        ENV_METRICS: bool(getattr(args, "metrics", False)),
-        ENV_PROFILE: bool(getattr(args, "profile", False)),
-    }
-    saved = {}
-    for name, enabled in wanted.items():
-        if enabled:
-            saved[name] = os.environ.get(name)
-            os.environ[name] = "1"
-    return saved
-
-
-def _restore_environment(saved: dict) -> None:
-    for name, old in saved.items():
-        if old is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = old
-
-
-def _set_store_environment(args) -> dict:
-    """Export ``--store``/``--resume`` as environment variables.
-
-    Same rationale as the obs flags: the run store must be visible at
-    the pool chokepoint inside worker processes, and the environment is
-    the only channel that survives both start methods.  Returns the
-    previous values for restoration.
-    """
-    from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
-
-    wanted = {}
-    if getattr(args, "store", None):
-        wanted[ENV_STORE_DIR] = args.store
-    if getattr(args, "resume", False):
-        wanted[ENV_STORE_RESUME] = "1"
-    saved = {}
-    for name, value in wanted.items():
-        saved[name] = os.environ.get(name)
-        os.environ[name] = value
-    return saved
+def _run_context(args) -> RunContext:
+    """The run-wide settings of one invocation, from its flags."""
+    return RunContext(
+        trace=bool(args.trace),
+        trace_events=args.trace_events,
+        metrics=args.metrics,
+        profile=args.profile,
+        # Campaigns carry --check-invariants in their units instead.
+        check_invariants=args.command in ("run", "all") and args.check_invariants,
+        store_dir=args.store,
+        resume=args.resume,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "resume", False) and not (
-        getattr(args, "store", None) or os.environ.get("REPRO_STORE_DIR")
-    ):
-        parser.error("--resume requires --store DIR (or $REPRO_STORE_DIR)")
+    if getattr(args, "resume", False) and not args.store:
+        parser.error(f"--resume requires --store DIR (or ${ENV_STORE_DIR})")
     if getattr(args, "validate", None) and not os.path.isdir(args.validate):
         parser.error(f"--validate: baseline directory not found: {args.validate}")
-    if getattr(args, "check_invariants", False) and args.command in ("run", "all"):
-        # The experiment modules build their simulations deep inside
-        # cached helpers (and possibly in pool workers, which inherit the
-        # environment), so the flag travels as an environment variable.
-        os.environ["REPRO_CHECK_INVARIANTS"] = "1"
     if args.command == "list":
         for experiment in list_experiments():
             print(
@@ -556,18 +514,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{experiment.title}"
             )
         return 0
-    saved_env = _set_obs_environment(args)
-    saved_store = _set_store_environment(args)
-    try:
+    with installed(_run_context(args)):
         if args.command in ("faults_campaign", "multitree_campaign"):
             return _run_campaign(args, args.family)
         if args.command == "run":
             get_experiment(args.experiment_id)  # fail fast on unknown ids
             return _run_ids([args.experiment_id], args)
         return _run_ids([e.experiment_id for e in list_experiments()], args)
-    finally:
-        _restore_environment(saved_store)
-        _restore_environment(saved_env)
 
 
 def _run_campaign(args, family: str) -> int:

@@ -38,12 +38,13 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..context import current
 from ..obs.capture import ObsUnit, obs_fingerprint
 from ..recovery.schemes import RecoveryScheme
 from ..simulation.churn import ChurnRunResult
 from ..simulation.streaming import RecoveryRunResult
 from ..store.keys import unit_key
-from ..store.runstore import active_store, resume_enabled
+from ..store.runstore import active_store
 from . import common
 from .common import SweepSettings
 
@@ -77,8 +78,8 @@ class ChurnUnit:
     seed = property(lambda self: self.settings.seed)
 
     def cache_key(self) -> tuple:
-        """The parent/worker run-cache key (environment-dependent: folds
-        the invariant flag and obs fingerprint at call time)."""
+        """The parent/worker run-cache key (context-dependent: folds the
+        invariant flag and obs fingerprint at call time)."""
         probe_lifetime_s = (
             common.DEFAULT_PROBE_LIFETIME_S if self.probe == DEFAULT_PROBE else None
         )
@@ -102,7 +103,7 @@ class ChurnUnit:
             "probe": self.probe,
             "switch_interval_s": self.switch_interval_s,
             "rost_flags": [list(pair) for pair in self.rost_flags],
-            "checked": common._invariants_enabled(),
+            "checked": current().check_invariants,
         }
 
     def execute(self) -> dict:
@@ -159,7 +160,7 @@ class RecoveryUnit:
             "settings": dataclasses.asdict(self.settings),
             "schemes": [dataclasses.asdict(s) for s in self.schemes],
             "replica": self.replica,
-            "checked": common._invariants_enabled(),
+            "checked": current().check_invariants,
         }
 
     def execute(self) -> dict:
@@ -267,7 +268,7 @@ def run_unit_task(unit: SimulationUnit) -> str:
     """
     store = active_store()
     key = sim_unit_store_key(unit) if store is not None else None
-    if store is not None and resume_enabled():
+    if store is not None and current().resume:
         stored = store.replay_sim_unit(key)
         if stored is not None:
             parsed = json.loads(stored)

@@ -403,7 +403,8 @@ class CampaignSpec(_Campaign):
     ) -> dict:
         from ..experiments.common import protocol_factory
         from ..metrics.collectors import ResilienceMetrics
-        from ..obs.capture import emit_unit, obs_active
+        from ..context import current
+        from ..obs.capture import emit_unit
         from ..simulation.streaming import RecoverySimulation
         from .injector import FaultInjector
 
@@ -419,7 +420,7 @@ class CampaignSpec(_Campaign):
         injector = FaultInjector(FaultSchedule(seed=seed, faults=scenario.faults))
         injector.bind(sim.churn, resilience=resilience)
         attachment = None
-        if obs_active():
+        if current().observed:
             from ..obs.attach import ObsAttachment
 
             attachment = ObsAttachment(

@@ -333,9 +333,9 @@ class MultiTreeSimulation:
         return closed
 
     def _attach_obs(self) -> None:
-        from ..obs.capture import obs_fingerprint
+        from ..context import current
 
-        if not any(obs_fingerprint()):
+        if not current().observed:
             return
         from ..obs.attach import ObsAttachment
 

@@ -21,21 +21,11 @@ Three independent channels (see ``docs/observability.md``):
 
 from .attach import ObsAttachment
 from .capture import (
-    ENV_METRICS,
-    ENV_PROFILE,
-    ENV_TRACE,
-    ENV_TRACE_EVENTS,
     ObsUnit,
     current_capture,
     emit_unit,
     job_capture,
-    metrics_enabled,
-    obs_active,
-    obs_env,
     obs_fingerprint,
-    profile_enabled,
-    trace_enabled,
-    trace_events_enabled,
 )
 from .metrics import (
     NULL_INSTRUMENT,
@@ -64,10 +54,6 @@ from .schema import (
 from .trace import TraceWriter
 
 __all__ = [
-    "ENV_METRICS",
-    "ENV_PROFILE",
-    "ENV_TRACE",
-    "ENV_TRACE_EVENTS",
     "NULL_INSTRUMENT",
     "RECORD_TYPES",
     "SUBSYSTEMS",
@@ -86,16 +72,10 @@ __all__ = [
     "drain_stages",
     "emit_unit",
     "job_capture",
-    "metrics_enabled",
-    "obs_active",
-    "obs_env",
     "obs_fingerprint",
-    "profile_enabled",
     "record_stage",
     "render_metrics_section",
     "render_profile_section",
-    "trace_enabled",
-    "trace_events_enabled",
     "validate_line",
     "validate_record",
     "validate_trace_lines",

@@ -21,13 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .capture import (
-    ObsUnit,
-    metrics_enabled,
-    profile_enabled,
-    trace_enabled,
-    trace_events_enabled,
-)
+from ..context import current
+from .capture import ObsUnit
 from .metrics import Histogram, MetricsRegistry
 from .profile import Profiler
 from .schema import TRACE_SCHEMA_VERSION
@@ -46,10 +41,11 @@ class ObsAttachment:
     """One attachment observes one simulation run.
 
     ``trace``/``trace_events``/``metrics``/``profile`` default to the
-    corresponding ``REPRO_OBS_*`` environment flags (the channel the CLI
-    uses); tests pass them explicitly.  ``meta`` identifies the run in
-    artifacts (protocol, population, seed, scenario, ...) and supplies
-    the optional fields of the ``run_start`` record.
+    corresponding flags of the run context (:mod:`repro.context`, the
+    channel the CLI uses); tests pass them explicitly.  ``meta``
+    identifies the run in artifacts (protocol, population, seed,
+    scenario, ...) and supplies the optional fields of the ``run_start``
+    record.
     """
 
     def __init__(
@@ -62,14 +58,15 @@ class ObsAttachment:
         trace_path: Optional[str] = None,
     ) -> None:
         self.meta: Dict[str, object] = dict(meta or {})
-        self._trace = trace_enabled() if trace is None else trace
+        context = current()
+        self._trace = context.trace if trace is None else trace
         if trace_path is not None:
             self._trace = True
         self._trace_events = (
-            trace_events_enabled() if trace_events is None else trace_events
+            context.trace_events if trace_events is None else trace_events
         )
-        self._metrics = metrics_enabled() if metrics is None else metrics
-        self._profile = profile_enabled() if profile is None else profile
+        self._metrics = context.metrics if metrics is None else metrics
+        self._profile = context.profile if profile is None else profile
         self.writer: Optional[TraceWriter] = (
             TraceWriter(trace_path) if self._trace else None
         )

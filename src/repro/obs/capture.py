@@ -1,10 +1,9 @@
-"""Flag plumbing and per-job artifact capture for the observability layer.
+"""Per-job artifact capture for the observability layer.
 
-The CLI's ``--trace`` / ``--metrics`` / ``--profile`` switches travel as
-environment variables, the same pattern ``REPRO_CHECK_INVARIANTS`` uses:
-the flags must reach pool worker processes and the cached run helpers in
-:mod:`repro.experiments.common` alike, and an env var is the only channel
-that survives both the ``fork`` and ``spawn`` start methods.
+The CLI's ``--trace`` / ``--trace-events`` / ``--metrics`` / ``--profile``
+switches travel in the run context (:mod:`repro.context`), which the
+pool ships to its workers; the capture machinery below and the run-key
+fingerprint read it from there.
 
 Within one experiment job, every simulation that runs under an
 :class:`~repro.obs.attach.ObsAttachment` finalizes into one
@@ -18,51 +17,16 @@ at any ``--jobs`` value.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-ENV_TRACE = "REPRO_OBS_TRACE"
-ENV_TRACE_EVENTS = "REPRO_OBS_TRACE_EVENTS"
-ENV_METRICS = "REPRO_OBS_METRICS"
-ENV_PROFILE = "REPRO_OBS_PROFILE"
-
-_ENV_FLAGS = (ENV_TRACE, ENV_TRACE_EVENTS, ENV_METRICS, ENV_PROFILE)
-
-
-def _flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0")
-
-
-def trace_enabled() -> bool:
-    return _flag(ENV_TRACE)
-
-
-def trace_events_enabled() -> bool:
-    """Per-event-dispatch records are opt-in on top of ``--trace``.
-
-    A full-scale run dispatches millions of events; the default trace
-    keeps only the structural records (switch/disruption/episode/fault)
-    and stays small enough to check into CI artifacts.
-    """
-    return _flag(ENV_TRACE_EVENTS)
-
-
-def metrics_enabled() -> bool:
-    return _flag(ENV_METRICS)
-
-
-def profile_enabled() -> bool:
-    return _flag(ENV_PROFILE)
-
-
-def obs_active() -> bool:
-    return any(_flag(name) for name in _ENV_FLAGS)
+from ..context import current
 
 
 def obs_fingerprint() -> Tuple[bool, bool, bool, bool]:
-    """The enabled-channel tuple, for inclusion in run cache keys.
+    """The enabled-channel tuple (trace, trace-events, metrics, profile),
+    for inclusion in run cache keys.
 
     Cached runs in :mod:`repro.experiments.common` store their emitted
     :class:`ObsUnit` next to the result; keying on the fingerprint keeps
@@ -74,21 +38,7 @@ def obs_fingerprint() -> Tuple[bool, bool, bool, bool]:
     or merged traces would gain/lose records relative to an
     uninterrupted run.
     """
-    return tuple(_flag(name) for name in _ENV_FLAGS)
-
-
-def obs_env() -> Dict[str, str]:
-    """The currently-set obs env vars, for explicit worker-init export."""
-    return {
-        name: os.environ[name] for name in _ENV_FLAGS if name in os.environ
-    }
-
-
-def apply_obs_env(env: Dict[str, str]) -> None:
-    """Install exported flags in a worker process (spawn-safe)."""
-    for name in _ENV_FLAGS:
-        os.environ.pop(name, None)
-    os.environ.update(env)
+    return current().obs_fingerprint()
 
 
 @dataclass
@@ -164,7 +114,7 @@ def job_capture() -> Iterator[Optional[JobCapture]]:
     and restores it afterwards.
     """
     global _current
-    if not obs_active():
+    if not current().observed:
         yield None
         return
     previous = _current

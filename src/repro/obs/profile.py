@@ -12,7 +12,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional
 
-from .capture import profile_enabled
+from ..context import current
 
 
 class Profiler:
@@ -48,12 +48,12 @@ class Profiler:
 
 # Coarse pipeline-stage accounting (submit/gather/retry in the pool).
 # Module-level because the pool has no per-run attachment to hang state
-# on; record_stage() is a no-op unless REPRO_OBS_PROFILE is set.
+# on; record_stage() is a no-op unless the run context enables --profile.
 _stages: Dict[str, List[float]] = {}
 
 
 def record_stage(name: str, wall_s: float) -> None:
-    if not profile_enabled():
+    if not current().profile:
         return
     entry = _stages.get(name)
     if entry is None:

@@ -11,19 +11,12 @@ from .keys import STORE_SCHEMA_VERSION, canonical_json, content_digest, unit_key
 from .ledger import Ledger
 from .locks import FileLock
 from .runstore import (
-    ENV_STORE_DIR,
-    ENV_STORE_RESUME,
     RunStore,
     active_store,
-    apply_store_env,
-    resume_enabled,
-    store_env,
 )
 
 __all__ = [
     "ArtifactStore",
-    "ENV_STORE_DIR",
-    "ENV_STORE_RESUME",
     "FileLock",
     "Ledger",
     "RunStore",
@@ -31,10 +24,7 @@ __all__ = [
     "StoreError",
     "StoreSchemaError",
     "active_store",
-    "apply_store_env",
     "canonical_json",
     "content_digest",
-    "resume_enabled",
-    "store_env",
     "unit_key",
 ]

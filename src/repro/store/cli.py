@@ -27,7 +27,10 @@ import time
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import StoreError
-from .runstore import ENV_STORE_DIR, RunStore
+from .runstore import RunStore
+
+#: The environment variable ``--store`` defaults to.
+ENV_STORE_DIR = "REPRO_STORE_DIR"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store",
         type=str,
-        default=None,
+        default=os.environ.get(ENV_STORE_DIR) or None,
         metavar="DIR",
         help=f"store directory (default: ${ENV_STORE_DIR})",
     )
@@ -76,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_store(args) -> RunStore:
-    path = args.store or os.environ.get(ENV_STORE_DIR)
+    path = args.store
     if not path:
         raise StoreError(
             f"no store directory: pass --store or set ${ENV_STORE_DIR}"

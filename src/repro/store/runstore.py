@@ -7,13 +7,12 @@ A store is a directory::
     <root>/quarantine/     # corrupted payloads moved aside on read
     <root>/.lock           # advisory lock shared by all writers
 
-Activation travels through the environment, the same channel the obs
-flags and ``--check-invariants`` use, because it must reach pool worker
-processes under both ``fork`` and ``spawn``:
+Activation travels in the run context (:mod:`repro.context`), which the
+pool ships to its worker processes:
 
-* ``REPRO_STORE_DIR`` — record every completed unit into this store at
-  the :func:`repro.experiments.pool.execute_job` chokepoint;
-* ``REPRO_STORE_RESUME`` — additionally *replay* units the ledger
+* ``store_dir`` (``--store``) — record every completed unit into this
+  store at the :func:`repro.experiments.pool.execute_job` chokepoint;
+* ``resume`` (``--resume``) — additionally *replay* units the ledger
   already has (skip execution, reconstruct the result — including its
   captured obs artifacts — from the stored payload).
 
@@ -29,17 +28,12 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
+from ..context import current
 from ..errors import StoreError
 from .artifacts import ArtifactStore
 from .keys import STORE_SCHEMA_VERSION, canonical_json, unit_key
 from .ledger import Ledger
 from .locks import FileLock
-
-ENV_STORE_DIR = "REPRO_STORE_DIR"
-ENV_STORE_RESUME = "REPRO_STORE_RESUME"
-
-_ENV_VARS = (ENV_STORE_DIR, ENV_STORE_RESUME)
-
 
 class RunStore:
     """One store directory; cheap to construct, safe to share via path."""
@@ -239,19 +233,19 @@ class RunStore:
         return {"removed": removed, "quarantine_purged": quarantined}
 
 
-# -- environment plumbing (reaches pool workers like the obs flags) ---------------
+# -- the store of the running invocation -----------------------------------------
 
 _active: Dict[Tuple[int, str], RunStore] = {}
 
 
 def active_store() -> Optional[RunStore]:
-    """The store named by ``REPRO_STORE_DIR``, or ``None``.
+    """The store named by the run context's ``store_dir``, or ``None``.
 
     Cached per ``(pid, path)``: a forked worker builds its own instance
     instead of inheriting the parent's (no SQLite connections are held
     open, but the lock file descriptor must not be shared either).
     """
-    path = os.environ.get(ENV_STORE_DIR)
+    path = current().store_dir
     if not path:
         return None
     cache_key = (os.getpid(), os.path.abspath(path))
@@ -261,21 +255,3 @@ def active_store() -> Optional[RunStore]:
         _active.clear()  # at most one live store per process
         _active[cache_key] = store
     return store
-
-
-def resume_enabled() -> bool:
-    return os.environ.get(ENV_STORE_RESUME, "") not in ("", "0")
-
-
-def store_env() -> Dict[str, str]:
-    """The currently-set store env vars, for explicit worker-init export."""
-    return {
-        name: os.environ[name] for name in _ENV_VARS if name in os.environ
-    }
-
-
-def apply_store_env(env: Dict[str, str]) -> None:
-    """Install exported store settings in a worker process (spawn-safe)."""
-    for name in _ENV_VARS:
-        os.environ.pop(name, None)
-    os.environ.update(env)

@@ -103,55 +103,6 @@ class Graph:
                     stack.append(v)
         return count == self.num_nodes
 
-    def to_arrays(self) -> Dict[str, object]:
-        """Flatten the adjacency lists into dense arrays for serialization.
-
-        The per-node neighbor order is preserved exactly, so a round trip
-        through :meth:`from_arrays` reproduces the graph byte-for-byte —
-        including parallel edges and iteration order, which downstream
-        deterministic code may observe.
-        """
-        import numpy as np
-
-        counts = np.fromiter(
-            (len(neighbors) for neighbors in self._adj),
-            dtype=np.int64,
-            count=len(self._adj),
-        )
-        total = int(counts.sum())
-        targets = np.empty(total, dtype=np.int64)
-        weights = np.empty(total, dtype=np.float64)
-        offset = 0
-        for neighbors in self._adj:
-            for v, w in neighbors:
-                targets[offset] = v
-                weights[offset] = w
-                offset += 1
-        return {
-            "adj_counts": counts,
-            "adj_targets": targets,
-            "adj_weights": weights,
-            "num_edges": np.int64(self._num_edges),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, object]) -> "Graph":
-        """Rebuild a graph serialized with :meth:`to_arrays`."""
-        counts = arrays["adj_counts"]
-        targets = arrays["adj_targets"]
-        weights = arrays["adj_weights"]
-        graph = cls(len(counts))
-        offset = 0
-        for u, count in enumerate(counts):
-            end = offset + int(count)
-            graph._adj[u] = [
-                (int(v), float(w))
-                for v, w in zip(targets[offset:end], weights[offset:end])
-            ]
-            offset = end
-        graph._num_edges = int(arrays["num_edges"])
-        return graph
-
     def subgraph_distances(self, nodes: Iterable[int]) -> Dict[int, List[float]]:
         """All-pairs distances among ``nodes`` through the *full* graph.
 

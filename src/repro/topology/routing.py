@@ -61,63 +61,6 @@ class DelayOracle:
         self._core = self._build_core()
         self._build_tables()
 
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_matrices(self) -> Dict[str, np.ndarray]:
-        """The precomputed distance matrices, as a stackable array bundle.
-
-        Every stub domain generated by
-        :func:`~repro.topology.transit_stub.generate_transit_stub` has the
-        same member count, so the per-domain matrices stack into one dense
-        3-D array.  Together with the core matrix this is everything
-        :meth:`from_matrices` needs to skip the precompute.
-        """
-        return {
-            "intra": self._intra_stack,
-            "core": self._core,
-        }
-
-    @classmethod
-    def from_matrices(
-        cls,
-        topology: TransitStubTopology,
-        matrices: Dict[str, np.ndarray],
-        copy: bool = True,
-    ) -> "DelayOracle":
-        """Build an oracle from cached matrices, skipping the precompute.
-
-        The local index is cheap to rebuild from the topology metadata; only
-        the Floyd-Warshall / Dijkstra products are loaded.  Queries on the
-        result are bit-identical to a freshly constructed oracle.
-
-        ``copy=False`` keeps the provided arrays as the oracle's backing
-        store — zero-copy when they are views into a shared-memory segment
-        (:mod:`repro.topology.shm`).  The oracle never mutates them.
-        """
-        intra = matrices["intra"]
-        if len(intra) != len(topology.stub_domains):
-            raise TopologyError(
-                f"cached oracle has {len(intra)} intra-domain matrices, "
-                f"topology has {len(topology.stub_domains)} stub domains"
-            )
-        oracle = cls.__new__(cls)
-        oracle._topology = topology
-        oracle._num_transit = len(topology.transit_nodes)
-        if copy:
-            intra = np.array(intra)
-            core = np.array(matrices["core"])
-        else:
-            intra = np.asarray(intra)
-            core = np.asarray(matrices["core"])
-        oracle._intra = [intra[i] for i in range(len(intra))]
-        oracle._local_index = {}
-        for domain in topology.stub_domains:
-            for i, node in enumerate(domain.nodes):
-                oracle._local_index[node] = i
-        oracle._core = core
-        oracle._build_tables(intra_stack=intra)
-        return oracle
-
     # -- construction -------------------------------------------------------
 
     def _build_intra_domain(self) -> None:
@@ -156,7 +99,7 @@ class DelayOracle:
             raise TopologyError("transit core is disconnected")
         return matrix
 
-    def _build_tables(self, intra_stack: np.ndarray = None) -> None:
+    def _build_tables(self) -> None:
         """Flatten the hierarchy into per-node lookup tables.
 
         ``.tolist()`` materialises the matrices as plain Python floats —
@@ -193,12 +136,9 @@ class DelayOracle:
         self._s2g_arr = np.array(s2g)
         self._acc_arr = np.array(dom_access)
         self._dt_arr = np.array(dom_transit, dtype=np.int64)
-        if intra_stack is not None:
-            self._intra_stack = intra_stack
-        else:
-            self._intra_stack = (
-                np.stack(self._intra) if self._intra else np.empty((0, 0, 0))
-            )
+        self._intra_stack = (
+            np.stack(self._intra) if self._intra else np.empty((0, 0, 0))
+        )
 
     # -- queries --------------------------------------------------------------
 

@@ -36,14 +36,15 @@ Oracles (see :data:`ORACLES`):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import os
 import tempfile
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..context import current, installed
 from ..errors import ValidationError
 from .report import DiffReport, OracleOutcome
 
@@ -353,26 +354,13 @@ def run_jobs_differential(seed: int = 0) -> OracleOutcome:
 
 def run_resume_differential(seed: int = 0) -> OracleOutcome:
     """Store-recorded + ``--resume``-replayed results vs uninterrupted."""
-    from ..store.runstore import ENV_STORE_DIR, ENV_STORE_RESUME
-
     fresh = _run_execution_unit(jobs=1)
-    saved = {
-        name: os.environ.get(name)
-        for name in (ENV_STORE_DIR, ENV_STORE_RESUME)
-    }
+    base = current()
     with tempfile.TemporaryDirectory(prefix="repro-validate-store-") as root:
-        try:
-            os.environ[ENV_STORE_DIR] = root
-            os.environ.pop(ENV_STORE_RESUME, None)
+        with installed(dataclasses.replace(base, store_dir=root, resume=False)):
             _run_execution_unit(jobs=1)  # record every unit
-            os.environ[ENV_STORE_RESUME] = "1"
+        with installed(dataclasses.replace(base, store_dir=root, resume=True)):
             replayed = _run_execution_unit(jobs=1)
-        finally:
-            for name, old in saved.items():
-                if old is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = old
     differences = _diff_payloads(fresh, replayed)
     return OracleOutcome(
         oracle="resume",
@@ -384,22 +372,11 @@ def run_resume_differential(seed: int = 0) -> OracleOutcome:
 
 def run_obs_differential(seed: int = 0) -> OracleOutcome:
     """Observability-on vs observability-off: observation must not perturb."""
-    from ..obs.capture import ENV_METRICS, ENV_TRACE
-
     plain = _run_execution_unit(jobs=1)
-    saved = {name: os.environ.get(name) for name in (ENV_TRACE, ENV_METRICS)}
-    try:
-        os.environ[ENV_TRACE] = "1"
-        os.environ[ENV_METRICS] = "1"
-        # execute_job opens its own job_capture(); setting the flags is
-        # all that is needed for the observed leg.
+    # execute_job opens its own job_capture(); enabling the channels in
+    # the run context is all that is needed for the observed leg.
+    with installed(dataclasses.replace(current(), trace=True, metrics=True)):
         observed = _run_execution_unit(jobs=1)
-    finally:
-        for name, old in saved.items():
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
     differences = _diff_payloads(plain, observed)
     return OracleOutcome(
         oracle="obs",

@@ -5,6 +5,7 @@ the check in the local tier-1 loop so an accidental `git add -A` of
 __pycache__ directories is caught before a push.
 """
 
+import ast
 import fnmatch
 import re
 import shutil
@@ -130,3 +131,34 @@ def test_pyproject_version_matches_changelog():
     """The released version is written in exactly two places; they must
     agree or the sdist will claim a version with no release notes."""
     assert _pyproject_version() == _changelog_latest_release()
+
+
+#: The command-line edges: the only modules under ``src/repro`` that may
+#: read the process environment.  Everything else takes its settings
+#: from the run context (``repro.context``).
+ENVIRONMENT_READERS = ("experiments/runner.py", "store/cli.py")
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path: Path):
+    """Line numbers where ``path`` touches ``os.environ``/``os.getenv``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_NAMES:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if {alias.name for alias in node.names} & _ENVIRONMENT_NAMES:
+                yield node.lineno
+
+
+def test_only_cli_edges_read_the_environment():
+    package = REPO_ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(package).as_posix()}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        if path.relative_to(package).as_posix() not in ENVIRONMENT_READERS
+        for line in _environment_reads(path)
+    ]
+    assert offenders == [], (
+        "only the command-line edges may read the environment; pass "
+        f"settings through repro.context instead: {offenders}"
+    )

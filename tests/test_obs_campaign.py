@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.context import RunContext, installed
 from repro.experiments import common
 from repro.experiments.pool import ExperimentJob, run_jobs
 from repro.faults import CampaignSpec
@@ -38,11 +39,10 @@ SCALE = 0.1
 
 
 @pytest.fixture(autouse=True)
-def obs_enabled(monkeypatch):
+def obs_enabled():
     common.clear_caches()
-    monkeypatch.setenv("REPRO_OBS_TRACE", "1")
-    monkeypatch.setenv("REPRO_OBS_METRICS", "1")
-    yield
+    with installed(RunContext(trace=True, metrics=True)):
+        yield
     common.clear_caches()
 
 

@@ -6,18 +6,12 @@ invocations.  Only the profile channel (stdout-only) may differ.
 """
 
 import json
-import os
 
 import pytest
 
+from repro.context import RunContext, current
 from repro.experiments import common
 from repro.experiments.runner import main
-from repro.obs.capture import (
-    ENV_METRICS,
-    ENV_PROFILE,
-    ENV_TRACE,
-    ENV_TRACE_EVENTS,
-)
 from repro.obs.schema import validate_trace_lines
 
 
@@ -78,11 +72,10 @@ def test_metrics_land_in_json_report(tmp_path):
 
 
 def test_obs_env_restored_after_main(tmp_path):
-    for name in (ENV_TRACE, ENV_TRACE_EVENTS, ENV_METRICS, ENV_PROFILE):
-        assert name not in os.environ
+    """The obs flags live in a run context scoped to ``main()``."""
+    assert current() == RunContext()
     _traced_run(tmp_path, "env", jobs=1)
-    for name in (ENV_TRACE, ENV_TRACE_EVENTS, ENV_METRICS, ENV_PROFILE):
-        assert name not in os.environ, f"{name} leaked out of main()"
+    assert current() == RunContext(), "obs flags leaked out of main()"
 
 
 def test_untraced_run_writes_no_trace_file(tmp_path):

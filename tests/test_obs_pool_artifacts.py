@@ -7,24 +7,28 @@ a run in which the worker never crashed.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
+from repro.context import RunContext, installed
 from repro.experiments import common
 from repro.experiments.pool import ExperimentJob, ExperimentPool
 from repro.experiments.registry import REGISTRY, ExperimentResult, register
 from repro.obs.capture import ObsUnit, emit_unit
-from repro.topology.cache import ENV_CACHE_DIR
 
 
 @pytest.fixture(autouse=True)
-def obs_enabled(monkeypatch):
+def obs_enabled():
     common.clear_caches()
-    monkeypatch.setenv("REPRO_OBS_TRACE", "1")
-    monkeypatch.setenv("REPRO_OBS_METRICS", "1")
-    yield
+    with installed(RunContext(trace=True, metrics=True)):
+        yield
     common.clear_caches()
+
+
+def _in_worker() -> bool:
+    return multiprocessing.parent_process() is not None
 
 
 def _fault_line(seed):
@@ -65,14 +69,14 @@ def test_crashed_worker_artifacts_are_reemitted_on_retry():
     experiment_id = "testobscrash"
 
     def run(scale=1.0, seed=42, **_):
-        if os.environ.get(ENV_CACHE_DIR):
+        if _in_worker():
             os._exit(17)  # kill the worker before it can return artifacts
         _emit_marker_unit(seed)
         return ExperimentResult(experiment_id, "crashy", table=f"ok seed={seed}")
 
     _register_flaky(experiment_id, run)
     try:
-        assert ENV_CACHE_DIR not in os.environ
+        assert not _in_worker()
         pool = ExperimentPool(jobs=2)
         results = pool.run([ExperimentJob.make(experiment_id, seed=s) for s in (1, 2)])
         assert [r.table for r in results] == ["ok seed=1", "ok seed=2"]
@@ -85,7 +89,7 @@ def test_timed_out_worker_artifacts_are_reemitted_on_retry():
     experiment_id = "testobsslow"
 
     def run(scale=1.0, seed=42, **_):
-        if os.environ.get(ENV_CACHE_DIR):
+        if _in_worker():
             import time
 
             time.sleep(3.0)
@@ -94,7 +98,7 @@ def test_timed_out_worker_artifacts_are_reemitted_on_retry():
 
     _register_flaky(experiment_id, run)
     try:
-        assert ENV_CACHE_DIR not in os.environ
+        assert not _in_worker()
         pool = ExperimentPool(jobs=2, timeout_s=0.25)
         results = pool.run([ExperimentJob.make(experiment_id, seed=s) for s in (1, 2)])
         assert [r.table for r in results] == ["done seed=1", "done seed=2"]
@@ -103,14 +107,7 @@ def test_timed_out_worker_artifacts_are_reemitted_on_retry():
         REGISTRY.pop(experiment_id, None)
 
 
-def test_artifacts_absent_when_obs_disabled(monkeypatch):
-    for name in (
-        "REPRO_OBS_TRACE",
-        "REPRO_OBS_TRACE_EVENTS",
-        "REPRO_OBS_METRICS",
-        "REPRO_OBS_PROFILE",
-    ):
-        monkeypatch.delenv(name, raising=False)
+def test_artifacts_absent_when_obs_disabled():
     experiment_id = "testobsoff"
 
     def run(scale=1.0, seed=42, **_):
@@ -119,7 +116,8 @@ def test_artifacts_absent_when_obs_disabled(monkeypatch):
 
     _register_flaky(experiment_id, run)
     try:
-        results = ExperimentPool(jobs=1).run([ExperimentJob.make(experiment_id)])
+        with installed(RunContext()):
+            results = ExperimentPool(jobs=1).run([ExperimentJob.make(experiment_id)])
         assert results[0].artifacts == {}
     finally:
         REGISTRY.pop(experiment_id, None)

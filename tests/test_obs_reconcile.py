@@ -6,15 +6,16 @@ simulation), so any drift is a real accounting bug in one of them.
 
 import pytest
 
+from repro.context import RunContext, installed
 from repro.experiments import common
 from repro.experiments.pool import ExperimentJob, execute_job
 
 
 @pytest.fixture(autouse=True)
-def metrics_enabled(monkeypatch):
+def metrics_enabled():
     common.clear_caches()
-    monkeypatch.setenv("REPRO_OBS_METRICS", "1")
-    yield
+    with installed(RunContext(metrics=True)):
+        yield
     common.clear_caches()
 
 
@@ -78,10 +79,10 @@ def test_registry_reconciles_with_legacy_collectors(experiment_id):
             assert "rost.switches" not in counters
 
 
-def test_registry_absent_when_metrics_disabled(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS_METRICS", raising=False)
+def test_registry_absent_when_metrics_disabled():
     common.clear_caches()
-    result = execute_job(
-        ExperimentJob.make("fig04", scale=0.02, seed=3, sizes=(2000,))
-    )
+    with installed(RunContext()):
+        result = execute_job(
+            ExperimentJob.make("fig04", scale=0.02, seed=3, sizes=(2000,))
+        )
     assert result.artifacts == {}

@@ -92,27 +92,20 @@ def _multitree_trace_lines():
     """
     from repro.faults import FaultSchedule, NodeCrash
     from repro.multitree import MultiTreeSimulation
-    from repro.obs.capture import ENV_TRACE, job_capture
+    from repro.context import RunContext, installed
+    from repro.obs.capture import job_capture
 
     cfg = _golden_churn_config()
     schedule = FaultSchedule(
         seed=3, faults=(NodeCrash(count=4, at_frac=0.5),)
     )
-    saved = os.environ.get(ENV_TRACE)
-    os.environ[ENV_TRACE] = "1"
-    try:
-        with job_capture() as capture:
-            MultiTreeSimulation(
-                cfg,
-                num_trees=2,
-                stripe_protocols=["rost", "rost"],
-                faults=schedule,
-            ).run()
-    finally:
-        if saved is None:
-            del os.environ[ENV_TRACE]
-        else:
-            os.environ[ENV_TRACE] = saved
+    with installed(RunContext(trace=True)), job_capture() as capture:
+        MultiTreeSimulation(
+            cfg,
+            num_trees=2,
+            stripe_protocols=["rost", "rost"],
+            faults=schedule,
+        ).run()
     return [line for unit in capture.units for line in unit.trace_lines]
 
 

@@ -7,11 +7,14 @@ processes must produce byte-identical tables and JSON to a fully serial
 """
 
 import json
+import multiprocessing
 import os
 import re
 
+import numpy as np
 import pytest
 
+from repro.config import TopologyConfig
 from repro.experiments import common
 from repro.experiments.pool import (
     ExperimentJob,
@@ -20,8 +23,8 @@ from repro.experiments.pool import (
     resolve_jobs,
 )
 from repro.experiments.registry import REGISTRY, ExperimentResult, register
-from repro.experiments.runner import main
-from repro.topology.cache import ENV_CACHE_DIR
+from repro.experiments.runner import _build_parser, main
+from repro.topology.cache import default_cache
 
 TIMING_LINE = re.compile(r" in [0-9.]+s\]")
 
@@ -38,11 +41,21 @@ def _normalize(text: str) -> str:
     return TIMING_LINE.sub("]", text)
 
 
+def _in_worker() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
 def test_resolve_jobs_defaults_and_env(monkeypatch):
+    """``--jobs`` defaults to $REPRO_JOBS (read by the command line only),
+    then to the CPU count."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert resolve_jobs(None) == (os.cpu_count() or 1)
+    assert _build_parser().parse_args(["run", "fig04"]).jobs is None
     monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs(None) == 3
+    assert _build_parser().parse_args(["run", "fig04"]).jobs == 3
+    assert _build_parser().parse_args(["faults_campaign"]).jobs == 3
+    assert _build_parser().parse_args(["all", "--jobs", "2"]).jobs == 2
+    assert resolve_jobs(None) == (os.cpu_count() or 1)
     assert resolve_jobs(2) == 2
     with pytest.raises(ValueError):
         resolve_jobs(0)
@@ -96,19 +109,19 @@ def _register_flaky(experiment_id: str, run):
 def test_worker_crash_is_retried_in_process():
     """A job that kills its worker is re-run (successfully) in-process.
 
-    The helper experiment crashes only when the worker-pool initializer
-    has set the shared cache directory, so the in-process retry succeeds.
+    The helper experiment crashes only inside a worker process, so the
+    in-process retry succeeds.
     """
     experiment_id = "testcrash"
 
     def run(scale=1.0, seed=42, **_):
-        if os.environ.get(ENV_CACHE_DIR):
+        if _in_worker():
             os._exit(17)
         return ExperimentResult(experiment_id, "crashy", table=f"ok seed={seed}")
 
     _register_flaky(experiment_id, run)
     try:
-        assert ENV_CACHE_DIR not in os.environ
+        assert not _in_worker()
         pool = ExperimentPool(jobs=2)
         jobs = [ExperimentJob.make(experiment_id, seed=s) for s in (1, 2)]
         results = pool.run(jobs)
@@ -122,7 +135,7 @@ def test_wedged_worker_times_out_and_retries():
     experiment_id = "testslow"
 
     def run(scale=1.0, seed=42, **_):
-        if os.environ.get(ENV_CACHE_DIR):
+        if _in_worker():
             import time
 
             time.sleep(3.0)
@@ -130,11 +143,52 @@ def test_wedged_worker_times_out_and_retries():
 
     _register_flaky(experiment_id, run)
     try:
-        assert ENV_CACHE_DIR not in os.environ
+        assert not _in_worker()
         pool = ExperimentPool(jobs=2, timeout_s=0.25)
         results = pool.run([ExperimentJob.make(experiment_id, seed=s) for s in (1, 2)])
         assert [r.table for r in results] == ["done seed=1", "done seed=2"]
         assert pool.retried_jobs >= 1
+    finally:
+        REGISTRY.pop(experiment_id, None)
+
+
+def test_pool_matches_serial_with_crashed_worker():
+    """A pool run with a crashed (and retried) worker matches the serial
+    run byte for byte, including jobs that build an underlay."""
+    experiment_id = "testtopocrash"
+
+    def run(scale=1.0, seed=42, **_):
+        # Crash the seed-1 job whenever it runs inside a worker; the
+        # in-process retry in the parent then succeeds.
+        if seed == 1 and _in_worker():
+            os._exit(23)
+        config = TopologyConfig(
+            transit_domains=2,
+            transit_nodes_per_domain=3,
+            stub_domains_per_transit=2,
+            stub_nodes_per_domain=5,
+            seed=9,
+        )
+        topo, oracle = default_cache().get(config)
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, topo.num_nodes, size=(50, 2))
+        total = sum(oracle.delay_ms(int(u), int(v)) for u, v in pairs)
+        return ExperimentResult(
+            experiment_id, "topology crash", table=f"seed={seed} total={total!r}"
+        )
+
+    _register_flaky(experiment_id, run)
+    try:
+        jobs = [ExperimentJob.make(experiment_id, seed=s) for s in (1, 2, 3)]
+        serial = ExperimentPool(jobs=1).run(jobs)
+
+        common.clear_caches()
+        assert not _in_worker()
+        pool = ExperimentPool(jobs=2)
+        parallel = pool.run(jobs)
+
+        assert pool.retried_jobs >= 1
+        assert [r.table for r in serial] == [r.table for r in parallel]
     finally:
         REGISTRY.pop(experiment_id, None)
 

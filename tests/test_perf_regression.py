@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.context import RunContext, installed
 from repro.obs.attach import ObsAttachment
 from repro.sim.engine import Simulator
 
@@ -56,41 +57,28 @@ def test_chain_throughput_vs_pr1_baseline(bench):
     )
 
 
-def test_disabled_attachment_installs_no_hooks(monkeypatch):
+def test_disabled_attachment_installs_no_hooks():
     """The <3% budget is enforced structurally first: with every channel
     off, attach_engine must leave the engine's fast path untouched."""
-    for name in (
-        "REPRO_OBS_TRACE",
-        "REPRO_OBS_TRACE_EVENTS",
-        "REPRO_OBS_METRICS",
-        "REPRO_OBS_PROFILE",
-    ):
-        monkeypatch.delenv(name, raising=False)
     sim = Simulator()
-    ObsAttachment().attach_engine(sim)
+    with installed(RunContext()):
+        ObsAttachment().attach_engine(sim)
     assert sim.trace_pre is None
     assert sim.trace_post is None
     assert sim.profile is None
 
 
-def test_disabled_observability_overhead_under_budget(bench, monkeypatch):
-    for name in (
-        "REPRO_OBS_TRACE",
-        "REPRO_OBS_TRACE_EVENTS",
-        "REPRO_OBS_METRICS",
-        "REPRO_OBS_PROFILE",
-    ):
-        monkeypatch.delenv(name, raising=False)
-
+def test_disabled_observability_overhead_under_budget(bench):
     # Interleave the two variants so thermal/noise drift hits both, use
     # long runs, and take the best of each: that measures the floor of
     # the code path, not the container's scheduler.
     total = 400_000
     plain = []
     attached = []
-    for _ in range(7):
-        plain.append(bench.bench_kernel_chain(total=total))
-        attached.append(_attached_chain_rate(bench, total))
+    with installed(RunContext()):
+        for _ in range(7):
+            plain.append(bench.bench_kernel_chain(total=total))
+            attached.append(_attached_chain_rate(bench, total))
 
     overhead = 1.0 - max(attached) / max(plain)
     assert overhead < DISABLED_OVERHEAD, (

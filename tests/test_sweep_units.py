@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import RunContext, installed
 from repro.experiments import common
 from repro.experiments.common import SweepSettings
 from repro.experiments.pool import ExperimentJob, ExperimentPool, run_jobs
@@ -255,10 +256,10 @@ def _run_batch(jobs_n):
     return run_jobs(batch, parallel_jobs=jobs_n)
 
 
-def test_unit_scheduled_matches_serial_including_obs_traces(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS_TRACE", "1")
-    serial = _snapshot(_run_batch(1))
-    parallel = _snapshot(_run_batch(4))
+def test_unit_scheduled_matches_serial_including_obs_traces():
+    with installed(RunContext(trace=True)):
+        serial = _snapshot(_run_batch(1))
+        parallel = _snapshot(_run_batch(4))
     assert parallel == serial
     # Every simulation the parallel run's figures consumed was seeded
     # from a worker payload — none re-simulated in the parent.
@@ -270,10 +271,10 @@ def test_unit_scheduled_matches_serial_including_obs_traces(monkeypatch):
     assert stats["scenario_hits"] > SCENARIO_UNITS
 
 
-def test_parallel_campaign_executes_each_unit_once(tmp_path, monkeypatch):
+def test_parallel_campaign_executes_each_unit_once(tmp_path):
     store_root = tmp_path / "runstore"
-    monkeypatch.setenv("REPRO_STORE_DIR", str(store_root))
-    first = _snapshot(_run_batch(4))
+    with installed(RunContext(store_dir=str(store_root))):
+        first = _snapshot(_run_batch(4))
     with sqlite3.connect(store_root / "ledger.sqlite") as conn:
         rows = conn.execute(
             "select experiment_id, executions, hits from units "
@@ -286,11 +287,11 @@ def test_parallel_campaign_executes_each_unit_once(tmp_path, monkeypatch):
     assert len(scenario_rows) == SCENARIO_UNITS
 
     # Resume: completed units replay from the store, executions stay 1.
-    monkeypatch.setenv("REPRO_STORE_RESUME", "1")
     with sqlite3.connect(store_root / "ledger.sqlite") as conn:
         conn.execute("delete from units where experiment_id not like 'sim:%'")
         conn.commit()
-    resumed = _snapshot(_run_batch(4))
+    with installed(RunContext(store_dir=str(store_root), resume=True)):
+        resumed = _snapshot(_run_batch(4))
     assert resumed == first
     with sqlite3.connect(store_root / "ledger.sqlite") as conn:
         rows = conn.execute(
@@ -305,15 +306,17 @@ def test_parallel_campaign_executes_each_unit_once(tmp_path, monkeypatch):
 _SWEEP_SCRIPT = """
 import json, sys
 sys.path.insert(0, "src")
+from repro.context import RunContext, installed
 from repro.experiments import common
 from repro.experiments.pool import ExperimentJob, run_jobs
 
-out_path, jobs_n = sys.argv[1], int(sys.argv[2])
+out_path, jobs_n, store_dir, resume = sys.argv[1:5]
 batch = [
     ExperimentJob.make(fid, scale=0.02, seed=3)
     for fid in ("fig05", "control-messages", "fig13")
 ]
-results = run_jobs(batch, parallel_jobs=jobs_n)
+with installed(RunContext(store_dir=store_dir or None, resume=resume == "1")):
+    results = run_jobs(batch, parallel_jobs=int(jobs_n))
 snap = [{"table": r.table, "data": r.data} for r in results]
 with open(out_path, "w") as handle:
     json.dump(snap, handle, sort_keys=True, default=str)
@@ -327,26 +330,23 @@ def test_sigkill_mid_sweep_resumes_at_unit_granularity(tmp_path):
     script.write_text(_SWEEP_SCRIPT)
     env = dict(os.environ, PYTHONPATH="src")
 
-    def run(out, extra_env):
+    def run(out, store_dir="", resume="0"):
         subprocess.run(
-            [sys.executable, str(script), str(out), "4"],
+            [sys.executable, str(script), str(out), "4", store_dir, resume],
             cwd=repo,
-            env=dict(env, **extra_env),
+            env=env,
             check=True,
         )
 
-    run(tmp_path / "base.json", {})
+    run(tmp_path / "base.json")
 
     store_root = tmp_path / "killed.runstore"
     ledger = store_root / "ledger.sqlite"
-    # REPRO_SHM=0: SIGKILL prevents the pool parent's cleanup `finally`
-    # from running, so a shm session opened by this process would leak
-    # its /dev/shm segments past the test (and trip the no-leak sweep in
-    # test_topology_shm).  The store ledger under test is unaffected.
     proc = subprocess.Popen(
-        [sys.executable, str(script), str(tmp_path / "dead.json"), "4"],
+        [sys.executable, str(script), str(tmp_path / "dead.json"), "4",
+         str(store_root), "0"],
         cwd=repo,
-        env=dict(env, REPRO_STORE_DIR=str(store_root), REPRO_SHM="0"),
+        env=env,
         start_new_session=True,
     )
     try:
@@ -371,10 +371,7 @@ def test_sigkill_mid_sweep_resumes_at_unit_granularity(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
 
-    run(
-        tmp_path / "resumed.json",
-        {"REPRO_STORE_DIR": str(store_root), "REPRO_STORE_RESUME": "1"},
-    )
+    run(tmp_path / "resumed.json", str(store_root), "1")
     assert (tmp_path / "resumed.json").read_bytes() == (
         tmp_path / "base.json"
     ).read_bytes()
