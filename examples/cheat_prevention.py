@@ -60,7 +60,7 @@ def main() -> None:
             if event.in_window and event.failed.member_id in cheater_ids:
                 sink[0] += event.subtree_size - 1
 
-        sim.disruption_observer = observer
+        sim.bus.subscribe("disruption", observer)
         result = sim.run()
 
         cheaters = [

@@ -34,22 +34,11 @@ from .model import LinkDegradation
 from .schedule import FaultSchedule
 
 
-def _chain(first: Optional[Callable], second: Callable) -> Callable:
-    """Compose two observer callbacks (existing one runs first)."""
-    if first is None:
-        return second
-
-    def chained(*args, **kwargs):
-        first(*args, **kwargs)
-        second(*args, **kwargs)
-
-    return chained
-
-
 def wire_resilience(churn: ChurnSimulation, resilience: ResilienceMetrics) -> None:
     """Feed a churn simulation's failure lifecycle into ``resilience``.
 
-    Composes with (never replaces) observers already installed — e.g. the
+    Subscribes to the run's ``disruption``, ``reattach`` and ``departure``
+    probe points after whatever subscribed earlier — e.g. the
     :class:`~repro.simulation.streaming.RecoveryObserver` — so one run can
     price starvation episodes *and* account MTTR / delivered data.
     """
@@ -71,9 +60,10 @@ def wire_resilience(churn: ChurnSimulation, resilience: ResilienceMetrics) -> No
     def on_departure(now: float, node: OverlayNode) -> None:
         resilience.record_departure(now, node.member_id)
 
-    churn.disruption_observer = _chain(churn.disruption_observer, on_disruption)
-    churn.reattach_observer = _chain(churn.reattach_observer, on_reattach)
-    churn.departure_observer = _chain(churn.departure_observer, on_departure)
+    bus = churn.bus
+    bus.subscribe("disruption", on_disruption)
+    bus.subscribe("reattach", on_reattach)
+    bus.subscribe("departure", on_departure)
 
 
 class DegradedOracle:
@@ -158,8 +148,8 @@ class FaultInjector:
 
     ``bind`` schedules one timer event per fault (at priority -2, so an
     injected kill beats a natural departure at the same instant and the
-    later natural event no-ops).  The optional ``resilience`` collector is
-    wired through the churn observers and receives the injection log.
+    later natural event no-ops).  The optional ``resilience`` collector
+    subscribes to the run's probe points and receives the injection log.
     """
 
     def __init__(self, schedule: FaultSchedule):

@@ -1,12 +1,13 @@
-"""Observer-driven runtime invariant checking for churn simulations.
+"""Probe-driven runtime invariant checking for churn simulations.
 
 :class:`InvariantChecker` attaches to a :class:`ChurnSimulation` (or
-anything carrying one, e.g. a ``RecoverySimulation``) through public
-observation surface only — the engine's ``trace_pre``/``trace_post``
-hooks, observer chaining, and per-instance wrapping of the tree's switch
-operations and the recovery observer's episode pricing.  Protocol code is
-never modified, so the checker composes with fault injection, every
-protocol, and any workload.
+anything carrying one, e.g. a ``RecoverySimulation``) as a set of
+subscribers on the run's probe bus (:mod:`repro.sim.bus`): the engine's
+``event_pre``/``event_post`` points, ``disruption``, the tree's
+``switch`` point and the recovery observer's ``episode_priced`` point.
+Protocol code is never modified and the checker sends no message, so it
+composes with fault injection, observability, every protocol and any
+workload without changing what they report.
 
 Violations become structured
 :class:`~repro.invariants.registry.InvariantViolation` records; with
@@ -79,14 +80,16 @@ class InvariantChecker:
         #: Correlated-failure sets awaiting the atomicity check.
         self._cofail_pending: Dict[FrozenSet[int], float] = {}
         self._lock_hold_s = 0.0
+        self._protocol = None
         self._attached = False
         self._finalized = False
 
     # -- attachment -----------------------------------------------------------------
 
     def attach(self, target) -> "InvariantChecker":
-        """Hook into ``target`` (a ChurnSimulation, or anything with a
-        ``.churn`` attribute holding one).  Must run before the sim does."""
+        """Subscribe to ``target``'s bus (a ChurnSimulation, or anything
+        with a ``.churn`` attribute holding one, or any object with a
+        ``sim`` and a ``tree``).  Must run before the sim does."""
         churn = getattr(target, "churn", None)
         if churn is None or not hasattr(churn, "sim"):
             churn = target
@@ -100,148 +103,85 @@ class InvariantChecker:
         self.churn = churn
         self.sim = churn.sim
         self.tree = churn.tree
-        self._chain_trace_hooks()
+        bus = self.sim.bus
+        bus.subscribe("event_pre", self._on_event_pre)
+        bus.subscribe("event_post", self._on_event_post)
         if self._want("fault-atomic-cofail"):
-            self._chain_disruption_observer()
+            bus.subscribe("disruption", self._on_disruption)
         protocol = getattr(churn, "protocol", None)
         if (
             protocol is not None
             and hasattr(protocol, "lock_hold_s")
-            and hasattr(protocol, "_values_of")
+            and hasattr(protocol, "referees")
         ):
+            # ROST family: lock discipline and BTP ordering of switches.
+            self._protocol = protocol
             self._lock_hold_s = float(protocol.lock_hold_s)
-            self._wrap_tree_switches(protocol)
+            bus.subscribe("switch", self._on_switch)
+        if any(inv.layer == "recovery" for inv in self.invariants):
+            bus.subscribe("episode_priced", self._on_episode_priced)
         return self
 
-    def _chain_trace_hooks(self) -> None:
-        prev_pre = self.sim.trace_pre
-        prev_post = self.sim.trace_post
+    def _on_disruption(self, event) -> None:
+        if len(event.co_failed_ids) > 1:
+            self._cofail_pending.setdefault(event.co_failed_ids, event.time)
 
-        def pre(event) -> None:
-            if prev_pre is not None:
-                prev_pre(event)
-            self._on_event_pre(event)
+    def _on_switch(self, probe) -> None:
+        now = self.sim.now
+        operation = "switch" if probe.op == "swap" else "promotion"
+        self._check_lock_windows(probe.involved, now, operation=operation)
+        if probe.op == "swap" and self._want("rost-switch-btp-order"):
+            child, parent = probe.member, probe.parent
+            child_btp = self._recorded_btp(child, now)
+            parent_btp = self._recorded_btp(parent, now)
+            if child_btp < parent_btp - _EPS:
+                self._record(
+                    "rost-switch-btp-order",
+                    now,
+                    f"switch promoted member {child.member_id} (BTP "
+                    f"{child_btp:.3f}) above member {parent.member_id} "
+                    f"(BTP {parent_btp:.3f})",
+                    node_ids=(child.member_id, parent.member_id),
+                    snapshot={
+                        "child_btp": child_btp,
+                        "parent_btp": parent_btp,
+                    },
+                )
+        self._note_lock_windows(probe.involved, now)
 
-        def post(event) -> None:
-            if prev_post is not None:
-                prev_post(event)
-            self._on_event_post(event)
+    def _recorded_btp(self, node, now: float) -> float:
+        """The BTP ROST's switch rule compares, read straight from the
+        referee record (or the member's claims when referees are off):
+        no referee query is sent, so no message is counted."""
+        if node.is_root:
+            return math.inf
+        referees = self._protocol.referees
+        if referees is None:
+            bandwidth, join_time = node.claimed_bandwidth, node.claimed_join_time
+        else:
+            bandwidth, join_time = referees.recorded(node)
+        return bandwidth * (now - join_time)
 
-        self.sim.trace_pre = pre
-        self.sim.trace_post = post
+    # -- recovery layer ----------------------------------------------------------------
 
-    def _chain_disruption_observer(self) -> None:
-        prev = self.churn.disruption_observer
-
-        def observe(event) -> None:
-            if prev is not None:
-                prev(event)
-            if len(event.co_failed_ids) > 1:
-                self._cofail_pending.setdefault(event.co_failed_ids, event.time)
-
-        self.churn.disruption_observer = observe
-
-    def _wrap_tree_switches(self, protocol) -> None:
-        """Per-instance wrappers around the tree's two switch operations,
-        enforcing the lock discipline and the BTP ordering (ROST family
-        only — gated on the protocol exposing its lock/valuation surface)."""
-        tree = self.tree
-        orig_swap = tree.swap_with_parent
-        orig_promote = tree.promote_to_grandparent
-
-        def checked_swap(child, overflow_priority):
-            now = self.sim.now
-            parent = child.parent
-            involved = [child]
-            if parent is not None:
-                involved.append(parent)
-                if parent.parent is not None:
-                    involved.append(parent.parent)
-                involved.extend(c for c in parent.children if c is not child)
-            involved.extend(child.children)
-            self._check_lock_windows(involved, now, operation="switch")
-            result = orig_swap(child, overflow_priority)
-            if parent is not None:
-                _, child_btp = protocol._values_of(child)
-                _, parent_btp = protocol._values_of(parent)
-                if child_btp < parent_btp - _EPS:
-                    self._record(
-                        "rost-switch-btp-order",
-                        now,
-                        f"switch promoted member {child.member_id} (BTP "
-                        f"{child_btp:.3f}) above member {parent.member_id} "
-                        f"(BTP {parent_btp:.3f})",
-                        node_ids=(child.member_id, parent.member_id),
-                        snapshot={
-                            "child_btp": child_btp,
-                            "parent_btp": parent_btp,
-                        },
-                    )
-            self._note_lock_windows(involved, now)
-            return result
-
-        def checked_promote(node):
-            now = self.sim.now
-            involved = [node]
-            if node.parent is not None:
-                involved.append(node.parent)
-                if node.parent.parent is not None:
-                    involved.append(node.parent.parent)
-            self._check_lock_windows(involved, now, operation="promotion")
-            result = orig_promote(node)
-            self._note_lock_windows(involved, now)
-            return result
-
-        tree.swap_with_parent = checked_swap
-        tree.promote_to_grandparent = checked_promote
-
-    # -- recovery hook ---------------------------------------------------------------
-
-    def attach_recovery(self, observer) -> "InvariantChecker":
-        """Wrap a :class:`RecoveryObserver`'s episode pricing with the
-        recovery-layer invariants (called by ``RecoverySimulation``)."""
-        if not any(inv.layer == "recovery" for inv in self.invariants):
-            return self
-        orig_apply = observer._apply_episode
-        recovery_cfg = observer.recovery_config
-
-        def checked_apply(scheme, now, members, sources, gap_packets, backfill=None):
-            result = observer.results[scheme.name]
-            pre_episodes = result.episodes
-            pre_coverage = result.coverage_sum
-            pre_gap = result.gap_packets_total
-            pre_repaired = result.repaired_packets_total
-            # Pricing mutates the playback buffers; capture them first.
-            buffers = [
-                observer._state_for(scheme, m).buffer_ahead_at(now)
-                for m in members
-            ]
-            orig_apply(scheme, now, members, sources, gap_packets, backfill)
-            d_episodes = result.episodes - pre_episodes
-            d_coverage = result.coverage_sum - pre_coverage
-            d_gap = result.gap_packets_total - pre_gap
-            d_repaired = result.repaired_packets_total - pre_repaired
-            self._check_episode_conservation(
-                scheme, now, members, gap_packets, d_episodes, d_gap, d_repaired
-            )
-            self._check_residual_coverage(
-                scheme, now, members, sources, gap_packets,
-                recovery_cfg.packet_rate_pps, d_episodes, d_coverage,
-            )
-            self._check_backfill_window(
-                scheme, now, members, sources, gap_packets, backfill,
-                recovery_cfg, buffers, d_repaired,
-            )
-
-        observer._apply_episode = checked_apply
-        return self
+    def _on_episode_priced(self, probe) -> None:
+        """Recovery-layer invariants over one priced episode."""
+        result = probe.observer.results[probe.scheme.name]
+        d_episodes, d_coverage, d_gap, d_repaired = (
+            after - before
+            for after, before in zip(result.totals(), probe.totals_before)
+        )
+        self._check_episode_conservation(probe, d_episodes, d_gap, d_repaired)
+        self._check_residual_coverage(probe, d_episodes, d_coverage)
+        self._check_backfill_window(probe, d_repaired)
 
     def _check_episode_conservation(
-        self, scheme, now, members, gap_packets, d_episodes, d_gap, d_repaired
+        self, probe, d_episodes, d_gap, d_repaired
     ) -> None:
         if not self._want("recovery-episode-conservation"):
             return
-        expected_gap = gap_packets * d_episodes
+        members, scheme = probe.members, probe.scheme
+        expected_gap = probe.gap_packets * d_episodes
         if (
             d_episodes != len(members)
             or d_gap != expected_gap
@@ -249,7 +189,7 @@ class InvariantChecker:
         ):
             self._record(
                 "recovery-episode-conservation",
-                now,
+                probe.now,
                 f"scheme {scheme.name!r} priced {len(members)} members as "
                 f"{d_episodes} episodes, gap {d_gap} (expected "
                 f"{expected_gap}), repaired {d_repaired}",
@@ -262,27 +202,26 @@ class InvariantChecker:
                 },
             )
 
-    def _check_residual_coverage(
-        self, scheme, now, members, sources, gap_packets,
-        packet_rate_pps, d_episodes, d_coverage,
-    ) -> None:
+    def _check_residual_coverage(self, probe, d_episodes, d_coverage) -> None:
         if not self._want("recovery-residual-covers-rate"):
             return
-        if not scheme.striped or gap_packets <= 0 or d_episodes <= 0:
+        scheme = probe.scheme
+        if not scheme.striped or probe.gap_packets <= 0 or d_episodes <= 0:
             return
+        packet_rate_pps = probe.observer.recovery_config.packet_rate_pps
         live_rate = sum(
-            s.rate_pps for s in sources if s.has_data and s.rate_pps > _EPS
+            s.rate_pps for s in probe.sources if s.has_data and s.rate_pps > _EPS
         )
         if live_rate < packet_rate_pps * (1.0 + _EPS):
             return
         if d_coverage < d_episodes - 1e-6:
             self._record(
                 "recovery-residual-covers-rate",
-                now,
+                probe.now,
                 f"scheme {scheme.name!r}: live residual {live_rate:.3f} pps "
                 f">= stream rate {packet_rate_pps:.3f} pps but coverage "
                 f"summed to {d_coverage:.6f} over {d_episodes} episodes",
-                node_ids=tuple(m.member_id for m in members),
+                node_ids=tuple(m.member_id for m in probe.members),
                 snapshot={
                     "scheme": scheme.name,
                     "live_rate_pps": live_rate,
@@ -292,23 +231,23 @@ class InvariantChecker:
                 },
             )
 
-    def _check_backfill_window(
-        self, scheme, now, members, sources, gap_packets, backfill,
-        recovery_cfg, buffers, d_repaired,
-    ) -> None:
+    def _check_backfill_window(self, probe, d_repaired) -> None:
         if not self._want("recovery-backfill-window"):
             return
+        backfill, gap_packets = probe.backfill, probe.gap_packets
         if backfill is None or gap_packets <= 0:
             return
         if backfill.rate_pps <= _EPS:
             return
         from ..recovery.episode import starvation_episode
 
+        scheme = probe.scheme
+        recovery_cfg = probe.observer.recovery_config
         # Repairs the group alone would have achieved (recomputed without
         # backfill; cached per distinct buffer depth like the pricing is).
         cache: Dict[float, int] = {}
         group_only = 0
-        for buffer_ahead in buffers:
+        for buffer_ahead in probe.buffers_before:
             key = round(buffer_ahead, 6)
             repaired = cache.get(key)
             if repaired is None:
@@ -318,23 +257,23 @@ class InvariantChecker:
                     buffer_ahead_s=buffer_ahead,
                     detect_s=recovery_cfg.repair_detect_s,
                     request_hop_s=recovery_cfg.request_hop_s,
-                    sources=sources,
+                    sources=probe.sources,
                     striped=scheme.striped,
                     backfill=None,
                 ).repaired_in_time
                 cache[key] = repaired
             group_only += repaired
         in_window = max(0, gap_packets - backfill.cutoff_seq)
-        upper = group_only + len(members) * in_window
+        upper = group_only + len(probe.members) * in_window
         if d_repaired > upper or d_repaired < group_only:
             self._record(
                 "recovery-backfill-window",
-                now,
+                probe.now,
                 f"scheme {scheme.name!r} repaired {d_repaired} packets; the "
                 f"group alone accounts for {group_only} and the backfill "
                 f"window holds only {in_window} per member "
                 f"(cutoff_seq {backfill.cutoff_seq} of {gap_packets})",
-                node_ids=tuple(m.member_id for m in members),
+                node_ids=tuple(m.member_id for m in probe.members),
                 snapshot={
                     "scheme": scheme.name,
                     "repaired": d_repaired,

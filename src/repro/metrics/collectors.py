@@ -278,9 +278,9 @@ class ResilienceMetrics:
     * **delivered-data ratio** — attached (streaming) node-seconds over
       attached + detached node-seconds inside the measurement window.
 
-    The churn driver does not know this class; the fault campaign wires
-    it through the ``disruption_observer`` / ``reattach_observer`` /
-    ``departure_observer`` hooks.
+    The churn driver does not know this class; the fault campaign
+    subscribes it to the run's ``disruption`` / ``reattach`` /
+    ``departure`` probe points (:func:`repro.faults.injector.wire_resilience`).
     """
 
     def __init__(self, window_start: float, window_end: float):

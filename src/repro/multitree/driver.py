@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SimulationConfig
-from ..faults.injector import _chain, wire_resilience
+from ..faults.injector import wire_resilience
 from ..faults.schedule import FaultSchedule
 from ..metrics.collectors import ResilienceMetrics
 from ..metrics.stats import mean_and_ci
@@ -258,13 +258,12 @@ class MultiTreeSimulation:
             )
             resilience.outage_opened = self._outage_opened_for(tree_index)
             resilience.outage_closed = self._outage_closed_for(tree_index)
-            # RecoverySimulation installs its own observers in its ctor;
-            # chain ours after the fact, never replace.
+            # Subscribers run in order: after the recovery observer (its
+            # constructor subscribed it), before obs (subscribed by run),
+            # so outage records precede the stripe's disruption record.
             wire_resilience(churn, resilience)
             if tree_index == 0:
-                churn.departure_observer = _chain(
-                    churn.departure_observer, self._capture_departure
-                )
+                churn.bus.subscribe("departure", self._capture_departure)
             self._sims.append(sim)
             self._churns.append(churn)
             self.stripe_resilience.append(resilience)
@@ -285,7 +284,7 @@ class MultiTreeSimulation:
         """Per-stripe attached checkers (``None`` entries when disabled)."""
         return [churn.invariant_checker for churn in self._churns]
 
-    # -- hooks ------------------------------------------------------------------
+    # -- callbacks --------------------------------------------------------------
 
     def _capture_departure(self, now: float, node: OverlayNode) -> None:
         """Record (join, departure) of members measured inside the window.

@@ -1,17 +1,17 @@
 """ObsAttachment: wires tracing/metrics/profiling onto one simulation.
 
-Follows the :class:`repro.invariants.InvariantChecker` attachment
-pattern exactly — the observation surface is the engine's
-``trace_pre``/``trace_post``/``profile`` hooks, the churn simulation's
-observer callbacks, and per-instance wraps of a handful of overlay
-operations.  Protocol and kernel code is never modified, every hook
-chains the previously-installed callback, and when no channel is
-enabled :meth:`attach` installs nothing at all, preserving the engine's
-``trace_pre is None`` fast path.
+Like :class:`repro.invariants.InvariantChecker`, the attachment is a set
+of subscribers on the run's probe bus (:mod:`repro.sim.bus`): the
+engine's ``event_pre``/``profile`` points and the overlay's
+``disruption``, ``reattach``, ``optimization``, ``switch`` and
+``episode_priced`` points.  Protocol and kernel code is never modified,
+and when no channel is enabled :meth:`attach` subscribes nothing at all,
+preserving the engine's ``trace_pre is None`` fast path.
 
-Counting is done with plain integer attributes in the hook closures
-(cheaper than any instrument indirection); the metrics registry is
-populated once at :meth:`finalize`.  The registry is therefore a pure
+Counting is done with plain integer attributes in the subscriber
+closures (cheaper than any instrument indirection); dispatched events
+and control messages are read from the simulator and the message ledger
+at :meth:`finalize`, where the metrics registry is populated once.  The registry is therefore a pure
 export surface and the counts stay independent of the legacy
 :mod:`repro.metrics` collectors — which is what lets the reconciliation
 tests assert the two agree.
@@ -75,9 +75,10 @@ class ObsAttachment:
         )
         self.profiler: Optional[Profiler] = Profiler() if self._profile else None
 
-        # Hot-loop tallies (plain ints; exported to the registry at
-        # finalize).  All are virtual-time deterministic.
-        self._events_dispatched = 0
+        # Subscriber tallies (plain ints; exported to the registry at
+        # finalize).  All are virtual-time deterministic.  Dispatched
+        # events and control messages need no subscriber: finalize reads
+        # the simulator's and the message ledger's own totals.
         self._fault_activations = 0
         self._disruption_failures = 0
         self._disruption_events = 0  # in-window affected members (legacy mirror)
@@ -85,7 +86,6 @@ class ObsAttachment:
         self._promotions = 0
         self._opt_reconnections = 0
         self._failure_reconnections = 0
-        self._control_messages = 0
         self._subtree_hist = Histogram()
         # scheme name -> [episodes, gap_packets, repaired_packets]
         self._recovery: Dict[str, List[int]] = {}
@@ -101,12 +101,10 @@ class ObsAttachment:
         return self._trace or self._metrics or self._profile
 
     def attach(self, target) -> "ObsAttachment":
-        """Attach to a ChurnSimulation (or anything exposing ``.churn``).
-
-        A :class:`~repro.simulation.streaming.RecoverySimulation` is
-        recognised by its ``observer`` attribute and gets the recovery
-        episode surface wired automatically.
-        """
+        """Subscribe to a ChurnSimulation's bus (or that of anything
+        exposing ``.churn``, e.g. a
+        :class:`~repro.simulation.streaming.RecoverySimulation`, whose
+        recovery observer emits the ``episode_priced`` point)."""
         if not self.enabled:
             return self
         churn = getattr(target, "churn", None)
@@ -115,26 +113,22 @@ class ObsAttachment:
         self._churn = churn
         self._sim = churn.sim
         self._emit_run_start(churn)
-        self._chain_engine_hooks(churn.sim)
-        self._chain_observers(churn)
-        self._wrap_tree_switches(churn)
-        self._wrap_messages(churn)
-        observer = getattr(target, "observer", None)
-        if observer is not None:
-            self.attach_recovery(observer)
+        self._subscribe_engine(churn.bus)
+        if self.writer is not None or self._metrics:
+            self._subscribe_overlay(churn)
         return self
 
     def attach_engine(self, sim) -> "ObsAttachment":
         """Engine-only attachment for bare :class:`Simulator` users.
 
-        Installs just the event/fault trace hooks and the profiler; no
-        overlay surface is touched.  With every channel disabled this is
-        a strict no-op (used by the hot-loop overhead regression test).
+        Subscribes just the event/fault trace and the profiler; no overlay
+        point.  With every channel disabled this is a strict no-op (used
+        by the hot-loop overhead regression test).
         """
         if not self.enabled:
             return self
         self._sim = sim
-        self._chain_engine_hooks(sim)
+        self._subscribe_engine(sim.bus)
         return self
 
     # -- wiring ------------------------------------------------------------------------
@@ -177,16 +171,12 @@ class ObsAttachment:
                 record[optional] = value
         writer.emit(record)
 
-    def _chain_engine_hooks(self, sim) -> None:
+    def _subscribe_engine(self, bus) -> None:
         writer = self.writer
         if writer is not None or self._metrics:
-            prev_pre = sim.trace_pre
-            prev_post = sim.trace_post
             trace_events = self._trace_events and writer is not None
 
             def pre(event) -> None:
-                if prev_pre is not None:
-                    prev_pre(event)
                 label = event.label
                 if trace_events:
                     writer.emit(
@@ -209,34 +199,22 @@ class ObsAttachment:
                             }
                         )
 
-            def post(event) -> None:
-                if prev_post is not None:
-                    prev_post(event)
-                self._events_dispatched += 1
-
-            sim.trace_pre = pre
-            sim.trace_post = post
+            bus.subscribe("event_pre", pre)
         if self.profiler is not None:
-            prev_profile = sim.profile
-            profiler = self.profiler
+            record = self.profiler.record
 
             def profile(event, wall_s: float) -> None:
-                if prev_profile is not None:
-                    prev_profile(event, wall_s)
-                profiler.record(_event_profile_key(event), wall_s)
+                record(_event_profile_key(event), wall_s)
 
-            sim.profile = profile
+            bus.subscribe("profile", profile)
 
-    def _chain_observers(self, churn) -> None:
+    def _subscribe_overlay(self, churn) -> None:
         writer = self.writer
         sim = churn.sim
         metrics = churn.metrics
-
-        prev_disruption = churn.disruption_observer
+        bus = churn.bus
 
         def on_disruption(event) -> None:
-            if prev_disruption is not None:
-                prev_disruption(event)
             self._disruption_failures += 1
             if event.in_window:
                 self._disruption_events += event.subtree_size - 1
@@ -267,13 +245,7 @@ class ObsAttachment:
                         }
                     )
 
-        churn.disruption_observer = on_disruption
-
-        prev_reattach = churn.reattach_observer
-
         def on_reattach(now: float, orphan) -> None:
-            if prev_reattach is not None:
-                prev_reattach(now, orphan)
             if metrics.in_window(now):
                 self._failure_reconnections += 1
             if writer is not None:
@@ -285,97 +257,53 @@ class ObsAttachment:
                     }
                 )
 
-        churn.reattach_observer = on_reattach
+        def on_optimization(n: int) -> None:
+            if metrics.in_window(sim.now):
+                self._opt_reconnections += n
 
-        protocol = churn.protocol
-        if hasattr(protocol, "overhead_callback"):
-            prev_overhead = protocol.overhead_callback
-
-            def on_overhead(n: int) -> None:
-                if prev_overhead is not None:
-                    prev_overhead(n)
-                if metrics.in_window(sim.now):
-                    self._opt_reconnections += n
-
-            protocol.overhead_callback = on_overhead
-
-    def _wrap_tree_switches(self, churn) -> None:
-        tree = churn.tree
-        sim = churn.sim
-        writer = self.writer
-        orig_swap = tree.swap_with_parent
-        orig_promote = tree.promote_to_grandparent
-
-        def traced_swap(child, overflow_priority):
-            result = orig_swap(child, overflow_priority)
-            self._switches += 1
+        def on_switch(probe) -> None:
+            if probe.op == "swap":
+                self._switches += 1
+            else:
+                self._promotions += 1
             if writer is not None:
                 writer.emit(
                     {
                         "type": "switch",
                         "t": float(sim.now),
-                        "op": "swap",
-                        "member": int(child.member_id),
+                        "op": probe.op,
+                        "member": int(probe.member.member_id),
                     }
                 )
-            return result
 
-        def traced_promote(node):
-            result = orig_promote(node)
-            self._promotions += 1
-            if writer is not None:
-                writer.emit(
-                    {
-                        "type": "switch",
-                        "t": float(sim.now),
-                        "op": "promote",
-                        "member": int(node.member_id),
-                    }
-                )
-            return result
+        bus.subscribe("disruption", on_disruption)
+        bus.subscribe("reattach", on_reattach)
+        bus.subscribe("optimization", on_optimization)
+        bus.subscribe("switch", on_switch)
+        if self._metrics:
+            bus.subscribe("episode_priced", self._on_episode_priced)
 
-        tree.swap_with_parent = traced_swap
-        tree.promote_to_grandparent = traced_promote
-
-    def _wrap_messages(self, churn) -> None:
-        stats = churn.ctx.messages
-        # Anything recorded before attach (normally nothing) still counts.
-        self._control_messages = stats.total
-        orig_record = stats.record
-
-        def counted_record(message_type, count: int = 1) -> None:
-            orig_record(message_type, count)
-            self._control_messages += count
-
-        stats.record = counted_record
-
-    def attach_recovery(self, observer) -> "ObsAttachment":
-        """Wrap the recovery observer's episode pricing (per scheme)."""
-        if not (self._trace or self._metrics):
-            return self
-        orig_apply = observer._apply_episode
-
-        def counted_apply(scheme, now, members, sources, gap_packets, backfill=None):
-            result = observer.results[scheme.name]
-            repaired_before = result.repaired_packets_total
-            orig_apply(scheme, now, members, sources, gap_packets, backfill)
-            tally = self._recovery.get(scheme.name)
-            if tally is None:
-                tally = self._recovery[scheme.name] = [0, 0, 0]
-            tally[0] += len(members)
-            tally[1] += gap_packets * len(members)
-            tally[2] += result.repaired_packets_total - repaired_before
-
-        observer._apply_episode = counted_apply
-        return self
+    def _on_episode_priced(self, probe) -> None:
+        """Per-scheme episode, gap and repaired-packet tallies."""
+        members = len(probe.members)
+        result = probe.observer.results[probe.scheme.name]
+        tally = self._recovery.get(probe.scheme.name)
+        if tally is None:
+            tally = self._recovery[probe.scheme.name] = [0, 0, 0]
+        tally[0] += members
+        tally[1] += probe.gap_packets * members
+        tally[2] += result.repaired_packets_total - probe.totals_before[3]
 
     # -- export ------------------------------------------------------------------------
+
+    def _events_processed(self) -> int:
+        return self._sim.events_processed if self._sim is not None else 0
 
     def _populate_registry(self) -> None:
         registry = self.registry
         if registry is None:
             return
-        registry.counter("sim", "events_processed").inc(self._events_dispatched)
+        registry.counter("sim", "events_processed").inc(self._events_processed())
         registry.counter("faults", "activations").inc(self._fault_activations)
         if self._churn is not None:
             counter = registry.counter
@@ -387,7 +315,9 @@ class ObsAttachment:
             counter("overlay", "failure_reconnections").inc(
                 self._failure_reconnections
             )
-            counter("overlay", "control_messages").inc(self._control_messages)
+            counter("overlay", "control_messages").inc(
+                self._churn.ctx.messages.total
+            )
             counter("overlay", "tree_switch_ops").inc(self._switches)
             counter("overlay", "tree_promotions").inc(self._promotions)
             hist = registry.histogram("overlay", "disruption_subtree_size")
@@ -435,7 +365,7 @@ class ObsAttachment:
                 {
                     "type": "run_end",
                     "t": float(self._sim.now),
-                    "events_processed": int(self._events_dispatched),
+                    "events_processed": int(self._events_processed()),
                     "disruptions": int(self._disruption_events),
                     "switches": int(self._switches + self._promotions),
                 }

@@ -7,7 +7,9 @@ Responsibilities:
   departure and ROST-switch operations;
 * enforce out-degree caps and reject structurally invalid operations;
 * notify listeners of position changes (used by the centralized
-  bandwidth-/time-ordered protocols to maintain their per-layer indices).
+  bandwidth-/time-ordered protocols to maintain their per-layer indices);
+* emit the ``switch`` probe point (:class:`SwitchProbe`) on its bus
+  (:mod:`repro.sim.bus`) after every ROST role exchange or promotion.
 
 Policy — who attaches where, who is evicted, who switches — lives in
 :mod:`repro.protocols`.  Every mutating method is O(size of the moved
@@ -17,12 +19,26 @@ subtree) or better.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import TreeError
+from ..sim.bus import Bus
 from .node import OverlayNode
 
 PositionListener = Callable[[OverlayNode], None]
+
+
+class SwitchProbe(NamedTuple):
+    """One ROST switch, as the ``switch`` probe point delivers it: ``op``
+    (``"swap"`` or ``"promote"``), the ``member`` that moved up, its
+    ``parent`` before the move, and every member the switch touched as
+    they stood before it (for a swap also the parent's other children and
+    the member's own children)."""
+
+    op: str
+    member: OverlayNode
+    parent: OverlayNode
+    involved: Tuple[OverlayNode, ...]
 
 
 class MulticastTree:
@@ -33,7 +49,7 @@ class MulticastTree:
     ``parent is None`` and ``attached is False``.
     """
 
-    def __init__(self, root: OverlayNode):
+    def __init__(self, root: OverlayNode, bus: Optional[Bus] = None):
         if not root.is_root:
             raise TreeError("tree root must be constructed with is_root=True")
         self.root = root
@@ -52,6 +68,8 @@ class MulticastTree:
         #: revalidate in O(1) without per-node invalidation walks.
         self._epoch_cell: List[int] = [0]
         root._epoch_cell = self._epoch_cell
+        #: Where the ``switch`` point is emitted (the simulation's bus).
+        self.bus = bus if bus is not None else Bus()
 
     # -- registration ---------------------------------------------------------
 
@@ -201,6 +219,12 @@ class MulticastTree:
                 f"adopt {len(former_siblings)} siblings plus its former parent"
             )
 
+        subscribers = self.bus.switch
+        if subscribers:
+            involved = (
+                child, parent, grandparent, *former_siblings, *former_children
+            )
+
         # Relink: child takes parent's slot under the grandparent.
         self._epoch_cell[0] += 1
         grandparent.children[grandparent.children.index(parent)] = child
@@ -239,6 +263,10 @@ class MulticastTree:
             # Overflow relinked nodes after the initial bump; invalidate
             # anything cached by a position listener in between.
             self._epoch_cell[0] += 1
+        if subscribers:
+            probe = SwitchProbe("swap", child, parent, involved)
+            for subscriber in subscribers:
+                subscriber(probe)
         return needs_rejoin
 
     def promote_to_grandparent(self, node: OverlayNode) -> None:
@@ -264,6 +292,12 @@ class MulticastTree:
         self._shift_layers(node, -1)
         self._notify_position(parent)
         self._notify_position(grandparent)
+        subscribers = self.bus.switch
+        if subscribers:
+            involved = (node, parent, grandparent)
+            probe = SwitchProbe("promote", node, parent, involved)
+            for subscriber in subscribers:
+                subscriber(probe)
 
     # -- consistency ------------------------------------------------------------
 

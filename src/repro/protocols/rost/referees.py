@@ -112,14 +112,20 @@ class RefereeService:
     # -- verification -----------------------------------------------------------------
 
     def verified(self, node: OverlayNode) -> Tuple[float, float]:
-        """(bandwidth, join_time) as vouched for by the member's referees.
+        """(bandwidth, join_time) as vouched for by the member's referees:
+        :meth:`recorded`, obtained by one query and one reply."""
+        self.ctx.messages.record(MessageType.REFEREE_QUERY)
+        self.ctx.messages.record(MessageType.REFEREE_REPLY)
+        return self.recorded(node)
+
+    def recorded(self, node: OverlayNode) -> Tuple[float, float]:
+        """(bandwidth, join_time) as the member's referee record holds
+        them, read without a query (no message is counted).
 
         Falls back to the member's own claims only if the record was lost
         (every referee failed before replacement — tracked for reporting).
         """
         record = self._records.get(node.member_id)
-        self.ctx.messages.record(MessageType.REFEREE_QUERY)
-        self.ctx.messages.record(MessageType.REFEREE_REPLY)
         if record is None:
             return node.claimed_bandwidth, node.claimed_join_time
         return record.measured_bandwidth, record.recorded_join_time

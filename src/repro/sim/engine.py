@@ -7,6 +7,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from ..errors import SimulationError
+from .bus import Bus
 from .events import Event, EventQueue
 
 #: Process-wide count of events dispatched by every Simulator instance.
@@ -30,26 +31,25 @@ class Simulator:
         sim.run_until(100.0)
     """
 
+    #: Per-event observation slots: ``trace_pre(event)`` runs after the
+    #: clock advances but before the action, ``trace_post(event)`` after
+    #: the action returns (a quiescent point — no handler is on the
+    #: stack), ``profile(event, wall_s)`` after each action with its
+    #: wall-clock duration.  ``None`` (the default) costs one check per
+    #: event and keeps the loop free of timing calls.  Only the bus
+    #: (:attr:`bus`, :mod:`repro.sim.bus`) writes them, when something
+    #: subscribes to its ``event_pre``/``event_post``/``profile`` points.
+    trace_pre: Optional[Callable[[Event], None]] = None
+    trace_post: Optional[Callable[[Event], None]] = None
+    profile: Optional[Callable[[Event, float], None]] = None
+
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._events_processed = 0
         self._running = False
-        #: Optional per-event observation hooks: ``trace_pre(event)`` runs
-        #: after the clock advances but before the action, ``trace_post``
-        #: after the action returns (a quiescent point — no handler is on
-        #: the stack).  ``None`` (the default) costs one attribute check
-        #: per event; used by :mod:`repro.invariants`.  Hooks must be
-        #: installed *before* ``run``/``run_until`` starts — the dispatch
-        #: loop snapshots them once at entry, so installing one from
-        #: inside an event action takes effect at the next run call.
-        self.trace_pre: Optional[Callable[[Event], None]] = None
-        self.trace_post: Optional[Callable[[Event], None]] = None
-        #: Optional profiling hook: ``profile(event, wall_s)`` runs after
-        #: each action with its wall-clock duration in seconds.  ``None``
-        #: (the default) keeps the dispatch loop free of any timing calls;
-        #: used by :mod:`repro.obs` for per-event-type attribution.
-        self.profile: Optional[Callable[[Event, float], None]] = None
+        #: The run's observation bus (engine, tree, driver probe points).
+        self.bus = Bus(self)
 
     @property
     def event_queue(self) -> EventQueue:

@@ -13,14 +13,16 @@ tree protocol:
   service delay/stretch, and the probe member's time series are collected
   into :class:`~repro.metrics.collectors.ChurnMetrics`.
 
-A ``disruption_observer`` hook receives every failure event (used by the
-recovery simulation to price starvation episodes).
+The driver emits the ``disruption``, ``departure``, ``reattach`` and
+``optimization`` probe points on the simulator's bus
+(:mod:`repro.sim.bus`, :attr:`ChurnSimulation.bus`); the recovery
+simulation subscribes to price starvation episodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol as TypingProtocol
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -55,7 +57,7 @@ CHURN_CAUSE = "churn"
 
 @dataclass(frozen=True)
 class DisruptionEvent:
-    """One abrupt-failure event, as seen by a ``disruption_observer``.
+    """One abrupt-failure event, as the ``disruption`` probe point delivers it.
 
     Delivered just before the departed member is dismantled, so
     ``failed`` still carries its children and subtree.  ``cause``
@@ -75,12 +77,6 @@ class DisruptionEvent:
     #: of a stub-domain outage).  Recovery sources drawn from this set are
     #: dead at repair time even if they have not been dismantled yet.
     co_failed_ids: frozenset = frozenset()
-
-
-class DisruptionObserver(TypingProtocol):
-    """Callback protocol for failure events (see RecoverySimulation)."""
-
-    def __call__(self, event: DisruptionEvent) -> None: ...
 
 
 @dataclass
@@ -183,9 +179,6 @@ class ChurnSimulation:
         oracle: Optional[DelayOracle] = None,
         workload: Optional[ChurnWorkload] = None,
         probe: Optional[Session] = None,
-        disruption_observer: Optional[DisruptionObserver] = None,
-        departure_observer: Optional[Callable[[float, OverlayNode], None]] = None,
-        reattach_observer: Optional[Callable[[float, OverlayNode], None]] = None,
         member_setup: Optional[Callable[[OverlayNode], None]] = None,
         tree_samples: int = 10,
         probe_sample_interval_s: float = 60.0,
@@ -225,6 +218,8 @@ class ChurnSimulation:
             )
         self.workload = workload
         self.sim = Simulator()
+        #: The run's probe bus (see :mod:`repro.sim.bus`).
+        self.bus = self.sim.bus
         root = OverlayNode(
             member_id=0,
             underlay_node=workload.root.underlay_node,
@@ -233,7 +228,7 @@ class ChurnSimulation:
             join_time=0.0,
             is_root=True,
         )
-        self.tree = MulticastTree(root)
+        self.tree = MulticastTree(root, bus=self.bus)
         if membership_mode == "abstract":
             self.membership = MembershipService(self.rngs.stream("membership"))
         elif membership_mode == "gossip":
@@ -257,23 +252,15 @@ class ChurnSimulation:
             stream_rate=config.workload.stream_rate,
             rng=self.rngs.stream("protocol"),
         )
-        self.protocol = protocol_factory(self.ctx)
+        protocol = protocol_factory(self.ctx)
+        if hasattr(protocol, "overhead_callback"):
+            protocol.overhead_callback = self._on_optimization
+        self.protocol = protocol
         self.metrics = ChurnMetrics(
             config.warmup_s,
             config.horizon_s,
             mean_lifetime_s=config.workload.mean_lifetime_s,
         )
-        if hasattr(self.protocol, "overhead_callback"):
-            self.protocol.overhead_callback = (
-                lambda n: self.metrics.record_optimization_reconnections(
-                    self.sim.now, n
-                )
-            )
-        self.disruption_observer = disruption_observer
-        self.departure_observer = departure_observer
-        #: Called with ``(time, orphan)`` whenever a member re-attaches
-        #: after losing its parent (used for time-to-repair accounting).
-        self.reattach_observer = reattach_observer
         self.member_setup = member_setup
         self.tree_samples = tree_samples
         self.probe_sample_interval_s = probe_sample_interval_s
@@ -314,7 +301,9 @@ class ChurnSimulation:
         self._ran = True
         for session in self.workload.sessions:
             self.sim.schedule_at(
-                session.arrival_s, lambda s=session: self._on_arrival(s)
+                session.arrival_s,
+                lambda s=session: self._on_arrival(s),
+                label="arrival",
             )
         self._schedule_tree_samples()
         self.sim.run_until(self.workload.horizon_s)
@@ -346,7 +335,10 @@ class ChurnSimulation:
         if session.member_id == PROBE_MEMBER_ID:
             self._setup_probe(node)
         self.sim.schedule_at(
-            session.departure_s, lambda: self._on_departure(node), priority=-1
+            session.departure_s,
+            lambda: self._on_departure(node),
+            priority=-1,
+            label="departure",
         )
         self._attempt_join(node, attempt=1)
 
@@ -415,20 +407,21 @@ class ChurnSimulation:
         abrupt = was_attached and not graceful
         descendants = node.descendants() if abrupt else []
         failed_parent = node.parent
-        if abrupt and self.disruption_observer is not None:
-            # The observer sees the overlay *before* the departed member is
+        subscribers = self.bus.disruption
+        if abrupt and subscribers:
+            # Subscribers see the overlay *before* the departed member is
             # dismantled: recovery-group selection and loss-correlation
             # evaluation both depend on the pre-failure structure.
-            self.disruption_observer(
-                DisruptionEvent(
-                    time=now,
-                    failed=node,
-                    in_window=self.metrics.in_window(now),
-                    cause=cause,
-                    subtree_size=1 + len(descendants),
-                    co_failed_ids=co_failed_ids,
-                )
+            event = DisruptionEvent(
+                time=now,
+                failed=node,
+                in_window=self.metrics.in_window(now),
+                cause=cause,
+                subtree_size=1 + len(descendants),
+                co_failed_ids=co_failed_ids,
             )
+            for subscriber in subscribers:
+                subscriber(event)
         orphans = self.tree.remove_departed(node)
 
         if abrupt:
@@ -449,8 +442,10 @@ class ChurnSimulation:
                 node.optimization_reconnections,
                 full_observation=node.join_time >= 0.0,
             )
-        if self.departure_observer is not None:
-            self.departure_observer(now, node)
+        subscribers = self.bus.departure
+        if subscribers:
+            for subscriber in subscribers:
+                subscriber(now, node)
         protocol_cfg = self.config.protocol
         grandparent = node.rejoin_hint if not was_attached else None
         # Proactive rescue plans (if enabled): orphans whose precomputed
@@ -486,15 +481,17 @@ class ChurnSimulation:
                 if self.protocol.place(orphan, rejoin=True):
                     orphan.reconnections += 1
                     self.metrics.record_failure_reconnection(now)
-                    if self.reattach_observer is not None:
-                        self.reattach_observer(now, orphan)
+                    self._emit_reattach(now, orphan)
                     continue
                 # No position available right now — degrade to the normal
                 # recovery path (without counting disruptions: the parent
                 # drains its buffer toward the subtree on the way out).
             self.protocol.on_recovery_lock(orphan, window_end)
             self._pending_rejoins[orphan.member_id] = self.sim.schedule_at(
-                window_end, lambda o=orphan: self._on_rejoin(o), priority=index
+                window_end,
+                lambda o=orphan: self._on_rejoin(o),
+                priority=index,
+                label="rejoin",
             )
         self.metrics.record_population(now, self.tree.num_attached)
 
@@ -509,12 +506,27 @@ class ChurnSimulation:
             orphan.reconnections += 1
             self.metrics.record_failure_reconnection(now)
             self.metrics.record_population(now, self.tree.num_attached)
-            if self.reattach_observer is not None:
-                self.reattach_observer(now, orphan)
+            self._emit_reattach(now, orphan)
             return
         self._pending_rejoins[orphan.member_id] = self.sim.schedule_in(
-            self.config.protocol.rejoin_s, lambda: self._on_rejoin(orphan)
+            self.config.protocol.rejoin_s,
+            lambda: self._on_rejoin(orphan),
+            label="rejoin",
         )
+
+    def _emit_reattach(self, now: float, orphan: OverlayNode) -> None:
+        subscribers = self.bus.reattach
+        if subscribers:
+            for subscriber in subscribers:
+                subscriber(now, orphan)
+
+    def _on_optimization(self, count: int) -> None:
+        """The protocol's ``overhead_callback``: account, then emit."""
+        self.metrics.record_optimization_reconnections(self.sim.now, count)
+        subscribers = self.bus.optimization
+        if subscribers:
+            for subscriber in subscribers:
+                subscriber(count)
 
     # -- probe ----------------------------------------------------------------------------
 

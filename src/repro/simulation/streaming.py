@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +97,16 @@ class SchemeResult:
         _, ci = mean_and_ci(self.ratios)
         return 100.0 * ci
 
+    def totals(self) -> Tuple[int, float, int, int]:
+        """``(episodes, coverage_sum, gap_packets_total,
+        repaired_packets_total)``: what one episode pricing adds to."""
+        return (
+            self.episodes,
+            self.coverage_sum,
+            self.gap_packets_total,
+            self.repaired_packets_total,
+        )
+
     @property
     def mean_coverage(self) -> float:
         return self.coverage_sum / self.episodes if self.episodes else float("nan")
@@ -150,6 +160,23 @@ class SchemeResult:
         )
 
 
+class EpisodePriced(NamedTuple):
+    """One priced starvation episode, as the ``episode_priced`` probe point
+    delivers it after the pricing: the pricing's arguments, each member's
+    ``buffer_ahead_at(now)`` and the scheme's :meth:`SchemeResult.totals`
+    from before it."""
+
+    observer: "RecoveryObserver"
+    scheme: RecoveryScheme
+    now: float
+    members: List[OverlayNode]
+    sources: List[RepairSource]
+    gap_packets: int
+    backfill: Optional[BackfillSpec]
+    buffers_before: List[float]
+    totals_before: Tuple[int, float, int, int]
+
+
 @dataclass
 class RecoveryRunResult:
     """Churn result plus the per-scheme starvation statistics."""
@@ -182,7 +209,8 @@ class RecoveryRunResult:
 
 
 class RecoveryObserver:
-    """Disruption/departure hooks evaluating a grid of recovery schemes."""
+    """Disruption/departure subscribers evaluating a grid of recovery
+    schemes; emits ``episode_priced`` on the bound churn simulation's bus."""
 
     def __init__(
         self,
@@ -400,6 +428,12 @@ class RecoveryObserver:
         backfill: Optional[BackfillSpec] = None,
     ) -> None:
         result = self.results[scheme.name]
+        subscribers = self.churn.bus.episode_priced
+        if subscribers:
+            buffers_before = [
+                self._state_for(scheme, m).buffer_ahead_at(now) for m in members
+            ]
+            totals_before = result.totals()
         cache: Dict[float, object] = {}
         for member in members:
             state = self._state_for(scheme, member)
@@ -427,6 +461,13 @@ class RecoveryObserver:
             result.coverage_sum += outcome.coverage
             result.gap_packets_total += outcome.gap_packets
             result.repaired_packets_total += outcome.repaired_in_time
+        if subscribers:
+            probe = EpisodePriced(
+                self, scheme, now, members, sources, gap_packets, backfill,
+                buffers_before, totals_before,
+            )
+            for subscriber in subscribers:
+                subscriber(probe)
 
     def _state_for(self, scheme: RecoveryScheme, member: OverlayNode) -> PlaybackState:
         key = (scheme.name, member.member_id)
@@ -486,17 +527,10 @@ class RecoverySimulation:
             recovery_window_s=config.protocol.recovery_window_s,
             view_size=config.protocol.partial_view_size,
         )
-        self.churn = ChurnSimulation(
-            config,
-            protocol_factory,
-            disruption_observer=self.observer.on_disruption,
-            departure_observer=self.observer.on_departure,
-            **churn_kwargs,
-        )
+        self.churn = ChurnSimulation(config, protocol_factory, **churn_kwargs)
         self.observer.churn = self.churn
-        if self.churn.invariant_checker is not None:
-            # Extend the checker into the recovery layer (episode pricing).
-            self.churn.invariant_checker.attach_recovery(self.observer)
+        self.churn.bus.subscribe("disruption", self.observer.on_disruption)
+        self.churn.bus.subscribe("departure", self.observer.on_departure)
 
     def run(self) -> RecoveryRunResult:
         churn_result = self.churn.run()

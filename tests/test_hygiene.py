@@ -162,3 +162,100 @@ def test_only_cli_edges_read_the_environment():
         "only the command-line edges may read the environment; pass "
         f"settings through repro.context instead: {offenders}"
     )
+
+
+def test_no_egg_info_tracked():
+    """``*.egg-info`` is build output of an editable install; a tracked
+    copy goes stale as modules are added and nothing reads it."""
+    offenders = [path for path in tracked_files() if ".egg-info" in path]
+    assert offenders == [], f"egg-info build artefacts tracked: {offenders}"
+    ignored = (REPO_ROOT / ".gitignore").read_text().splitlines()
+    assert "*.egg-info/" in ignored, ".gitignore is missing '*.egg-info/'"
+
+
+#: The one module that writes the engine's observation slots.
+PROBE_BUS = "sim/bus.py"
+_ENGINE_SLOTS = {"trace_pre", "trace_post", "profile"}
+#: Methods and callbacks observers once patched onto live instances;
+#: observers subscribe to the probe bus instead.
+_PATCHED_NAMES = {
+    "swap_with_parent",
+    "promote_to_grandparent",
+    "_apply_episode",
+    "record",
+    "overhead_callback",
+}
+
+
+def _created_names(function) -> set:
+    """Local names ``function`` binds to the result of a call (objects it
+    created itself, e.g. ``protocol = factory(ctx)``)."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            names.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+    return names
+
+
+def _hook_patches(path: Path, may_write_slots: bool):
+    """``line: target`` for every engine-slot write and every patch of a
+    method or callback on an object the enclosing function did not
+    create."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = [tree] + [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = set()
+    for scope in scopes:
+        created = {"self"} | _created_names(scope)
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "setattr":
+                args = node.args
+                if (
+                    len(args) >= 2
+                    and isinstance(args[1], ast.Constant)
+                    and args[1].value in _ENGINE_SLOTS | _PATCHED_NAMES
+                    and not may_write_slots
+                ):
+                    found.add(f"{node.lineno}: setattr(..., {args[1].value!r})")
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if not isinstance(target, ast.Attribute):
+                    continue
+                if target.attr in _ENGINE_SLOTS and not may_write_slots:
+                    found.add(f"{node.lineno}: .{target.attr}")
+                elif target.attr in _PATCHED_NAMES and not (
+                    isinstance(target.value, ast.Name)
+                    and target.value.id in created
+                ):
+                    found.add(f"{node.lineno}: .{target.attr}")
+    return sorted(found)
+
+
+def test_observers_subscribe_instead_of_patching_hooks():
+    """Only the probe bus writes ``trace_pre``/``trace_post``/``profile``,
+    and no module reassigns a tree switch, the episode pricing, the
+    message ledger's ``record`` or a protocol's ``overhead_callback`` on
+    an object it did not create: observers subscribe to the bus."""
+    package = REPO_ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(package).as_posix()}:{patch}"
+        for path in sorted(package.rglob("*.py"))
+        for patch in _hook_patches(
+            path, may_write_slots=path.relative_to(package).as_posix() == PROBE_BUS
+        )
+    ]
+    assert offenders == [], (
+        "observers must subscribe to the probe bus (repro.sim.bus) instead "
+        f"of writing engine hooks or patching methods: {offenders}"
+    )

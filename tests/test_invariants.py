@@ -125,7 +125,22 @@ def test_violation_str_and_as_dict():
 def bare_target():
     sim = Simulator()
     tree = MulticastTree(make_node(0, bandwidth=10.0, cap=10, is_root=True))
-    return SimpleNamespace(sim=sim, tree=tree, disruption_observer=None)
+    return SimpleNamespace(sim=sim, tree=tree)
+
+
+def test_checker_leaves_message_counts_unchanged():
+    """The checker reads BTP inputs from the referee records without a
+    referee query, so a checked run reports the unchecked run's control
+    messages."""
+    from tests.test_obs_trace import _golden_churn_config
+
+    config = _golden_churn_config()
+    plain = ChurnSimulation(config, PROTOCOLS["rost"]).run()
+    checked = ChurnSimulation(
+        config, PROTOCOLS["rost"], check_invariants=True
+    ).run()
+    assert checked.extras["switches"] > 0
+    assert checked.messages.as_dict() == plain.messages.as_dict()
 
 
 def test_checker_rejects_bad_configuration():

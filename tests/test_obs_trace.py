@@ -180,6 +180,14 @@ def test_trace_is_independent_of_profile_channel():
         assert "wall" not in line
 
 
+def test_profiled_churn_run_keys_events_by_kind():
+    """Every churn event carries a semantic label, so profile rows read as
+    event kinds rather than anonymous lambdas."""
+    by_key = _churn_trace_unit(True).profile["by_key"]
+    assert not [key for key in by_key if "<lambda>" in key]
+    assert {"arrival", "departure", "rejoin"} <= set(by_key)
+
+
 def test_engine_trace_skips_cancelled_events_and_counts_faults():
     unit = _engine_trace_unit()
     labels = [

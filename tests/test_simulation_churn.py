@@ -121,8 +121,8 @@ def test_disruption_observer_sees_prefailure_state(shared_infra):
         PROTOCOLS["min-depth"],
         topology=topo,
         oracle=oracle,
-        disruption_observer=observer,
     )
+    sim.bus.subscribe("disruption", observer)
     sim.run()
     assert observed, "expected at least one attached failure"
     assert all(attached for attached, _ in observed)
@@ -136,7 +136,9 @@ def test_departure_observer_called_for_each_departure(shared_infra):
         PROTOCOLS["min-depth"],
         topology=topo,
         oracle=oracle,
-        departure_observer=lambda now, node: departed.append(node.member_id),
+    )
+    sim.bus.subscribe(
+        "departure", lambda now, node: departed.append(node.member_id)
     )
     result = sim.run()
     assert len(departed) > 0
